@@ -30,13 +30,6 @@ class AttentionParams:
     conv_w: tuple  # three (1, 1, 1, 3) kernels
     conv_b: tuple  # three (1,) biases
 
-    def astype(self, dtype) -> "AttentionParams":
-        return replace(
-            self,
-            conv_w=tuple(w.astype(dtype) for w in self.conv_w),
-            conv_b=tuple(b.astype(dtype) for b in self.conv_b),
-        )
-
 
 def attention_init(seed: int) -> AttentionParams:
     """Seeded init: alpha, beta ~ U[0,1); conv weights ~ U[-k, k], k = 1/sqrt(3).

@@ -7,6 +7,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NonFiniteFunction
+
 
 @dataclass(frozen=True)
 class GradCheckEntry:
@@ -21,6 +23,28 @@ class GradCheckEntry:
 
 def central_diff(f: Callable[[float], float], v: float, h: float) -> float:
     return (f(v + h) - f(v - h)) / (2.0 * h)
+
+
+def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one probe per element.
+
+    Intended for small verification problems; cost is 2*size evaluations.
+    Raises NonFiniteFunction if any probe returns NaN/Inf.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i, idx in enumerate(np.ndindex(x.shape)):
+        def along(v, idx=idx):
+            probe = x.copy()
+            probe[idx] = v
+            return float(f(probe))
+
+        grad[idx] = central_diff(along, x[idx], h)
+        if not np.isfinite(grad[idx]):
+            raise NonFiniteFunction(f"objective non-finite at element {i}")
+    return grad
 
 
 def two_step_rel_err(f: Callable[[float], float], v: float, h: float, floor: float = 1e-8) -> float:
@@ -70,7 +94,6 @@ def run_gradient_checks(seed: int = 0, inject_nan: bool = False) -> list[GradChe
 
 def lambda_grad_entry(seed: int, cases: int = 20) -> GradCheckEntry:
     """Analytic loss-weight gradients vs. central differences (tol 1e-6)."""
-    from .kernels import finite_diff_grad
     from .losses import LossWeights, geometric_loss, geometric_loss_lambda_grad
     from .se3 import PoseVec, quat_normalize
 

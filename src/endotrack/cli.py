@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .files import RunConfig, read_config, read_trajectory, write_trajectory
 from .metrics import evaluate
-from .pipeline import extract_joint, extract_motion, extract_scene, fuse, init_pipeline
+from .pipeline import init_pipeline, pipeline_forward
 from .tracker import NoiseSpec, Trajectory, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
 
 
@@ -38,8 +39,11 @@ def cmd_synth(args) -> int:
     cfg = _load_config(args)
     k = args.k if args.k is not None else cfg.k
     seed = args.seed if args.seed is not None else cfg.seed
+    try:
+        bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
+    except ValueError:
+        raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=k)
-    bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
     spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
     rels = perturb_relatives(gt, spec)
     write_trajectory(args.out_gt, gt)
@@ -91,51 +95,30 @@ def cmd_bench(args) -> int:
         h, w = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
-    pcfg = cfg.pipeline_config()
-    from dataclasses import replace
-
-    pcfg = replace(pcfg, height=h, width=w)
-    params = init_pipeline(pcfg)
-    dec = decoder_init(pcfg.fused_channels, cfg.decoder_channels, seed=pcfg.seed + 1)
+    if args.repeat < 1 or args.warmup < 0:
+        raise EndotrackError(
+            f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"
+        )
+    pcfg = replace(cfg.pipeline_config(), height=h, width=w)
     dtype = np.float32 if args.f32 else np.float64
-    if args.f32:
-        params = params.astype(dtype)
-        dec = dec.astype(dtype)
+    params = init_pipeline(pcfg).astype(dtype)
+    dec = decoder_init(pcfg.fused_channels, cfg.decoder_channels, seed=pcfg.seed + 1).astype(dtype)
     rng = np.random.default_rng(pcfg.seed)
     img_prev = rng.standard_normal((3, h, w)).astype(dtype)
     img_cur = rng.standard_normal((3, h, w)).astype(dtype)
     flow = rng.standard_normal((2, h, w)).astype(dtype)
-    pair = np.concatenate([img_prev, img_cur])
 
-    def one_pass(timings=None):
+    def one_pass():
         t0 = time.perf_counter()
-        f_cur = extract_scene(img_cur, params)
+        fused = pipeline_forward(img_prev, img_cur, flow, params)
         t1 = time.perf_counter()
-        f_prev = extract_scene(img_prev, params)
-        t2 = time.perf_counter()
-        f_motion = extract_motion(flow, params)
-        t3 = time.perf_counter()
-        f_joint = extract_joint(pair, params)
-        t4 = time.perf_counter()
-        fused = fuse(f_cur, f_prev, f_motion, f_joint, pcfg.norm_eps)
-        t5 = time.perf_counter()
         decoder_forward(fused, dec)
-        t6 = time.perf_counter()
-        if timings is not None:
-            for name, dt in zip(
-                ("scene (current)", "scene (previous)", "motion", "joint", "fuse", "decoder"),
-                np.diff([t0, t1, t2, t3, t4, t5, t6]),
-            ):
-                timings[name] = timings.get(name, 0.0) + dt
+        return t1 - t0, time.perf_counter() - t1
 
     for _ in range(args.warmup):
         one_pass()
-    timings: dict = {}
-    start = time.perf_counter()
-    for _ in range(args.repeat):
-        one_pass(timings)
-    elapsed = time.perf_counter() - start
-    per_frame = elapsed / args.repeat
+    timings = np.sum([one_pass() for _ in range(args.repeat)], axis=0)
+    per_frame = float(timings.sum()) / args.repeat
     fps = 1.0 / per_frame
 
     print("throughput benchmark -- STAND-IN pipeline (randomly initialized weights,")
@@ -143,8 +126,8 @@ def cmd_bench(args) -> int:
     print(f"size {h}x{w}, dtype {'float32' if args.f32 else 'float64'}, "
           f"{args.repeat} repeats after {args.warmup} warmup")
     print("per-stage ms/frame:")
-    for name, total in timings.items():
-        print(f"  {name:<17} {1000.0 * total / args.repeat:8.3f}")
+    for name, total in zip(("pipeline", "decoder"), timings):
+        print(f"  {name:<9} {1000.0 * total / args.repeat:8.3f}")
     print(f"total {1000.0 * per_frame:.3f} ms/frame -> {fps:.1f} fps")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tree
 from .errors import BadChannelCount, ShapeMismatch
 from .kernels import activation, affine, conv2d, layernorm
 from .se3 import PoseVec, quat_normalize
@@ -31,14 +32,6 @@ class DscBlockParams:
     pw2_b: np.ndarray
     gamma: float
 
-    def astype(self, dtype) -> "DscBlockParams":
-        return DscBlockParams(
-            self.dw_w.astype(dtype), self.dw_b.astype(dtype),
-            self.pw1_w.astype(dtype), self.pw1_b.astype(dtype),
-            self.pw2_w.astype(dtype), self.pw2_b.astype(dtype),
-            self.gamma,
-        )
-
 
 @dataclass(frozen=True)
 class DecoderParams:
@@ -53,13 +46,7 @@ class DecoderParams:
     head_b: np.ndarray
 
     def astype(self, dtype) -> "DecoderParams":
-        return DecoderParams(
-            self.squeeze_w.astype(dtype), self.squeeze_b.astype(dtype),
-            self.ln_gamma.astype(dtype), self.ln_beta.astype(dtype),
-            self.down_w.astype(dtype), self.down_b.astype(dtype),
-            tuple(b.astype(dtype) for b in self.blocks),
-            self.head_w.astype(dtype), self.head_b.astype(dtype),
-        )
+        return tree.astype(self, dtype)
 
 
 def _uniform(rng, shape, fan_in):

@@ -59,3 +59,7 @@ class TrajectoryParseError(EndotrackError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class ArchiveMismatch(EndotrackError):
+    """Parameter archive keys or shapes differ from the expected tree."""

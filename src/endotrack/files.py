@@ -14,13 +14,17 @@ frames (k, 2k, ...).
 
 from __future__ import annotations
 
+import math
 import os
+import secrets
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ArchiveMismatch,
     BadChannelCount,
     BadExtent,
     BadPenalty,
@@ -31,16 +35,26 @@ from .errors import (
 from .pipeline import PipelineConfig
 from .se3 import Pose, PoseVec, pose_from_vec, pose_to_vec
 from .tracker import Trajectory
+from .tree import flatten, map_leaves
 
 UNITS = ("mm", "cm")
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write a uniquely named temp file in the same directory, fsync it, then
+    rename.  Concurrent writers never share a temp file; a failure removes it."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def format_trajectory(traj: Trajectory) -> str:
@@ -164,14 +178,24 @@ class RunConfig:
         )
 
 
-_INT_KEYS = {"k", "seed", "height", "width", "decoder_channels"}
-_FLOAT_KEYS = {"lam_t", "lam_r", "flow_eps", "flow_q"}
-_TUPLE_KEYS = {"flow_theta", "scene_channels", "joint_channels"}
+def _parse_value(line_no: int, key: str, text: str, default):
+    """Parse as the type of the field's default; tuples split on commas and
+    parse each element as the type of the default's first element."""
+    is_tuple = isinstance(default, tuple)
+    kind = type(default[0] if is_tuple else default)
+    try:
+        vals = tuple(kind(v) for v in (text.split(",") if is_tuple else [text]))
+    except ValueError:
+        raise TrajectoryParseError(line_no, f"bad value for {key}: {text!r}") from None
+    if kind is float and not all(math.isfinite(v) for v in vals):
+        raise TrajectoryParseError(line_no, f"{key} must be finite, got {text!r}")
+    return vals if is_tuple else vals[0]
 
 
 def parse_config(text: str) -> RunConfig:
     """key = value lines; '#' comments; commas for tuple-valued keys."""
     values = {}
+    defaults = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,24 +205,9 @@ def parse_config(text: str) -> RunConfig:
             raise TrajectoryParseError(line_no, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in known:
             raise TrajectoryParseError(line_no, f"unknown config key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _TUPLE_KEYS:
-                values[key] = tuple(float(v) for v in value.split(","))
-            else:
-                raise TrajectoryParseError(line_no, f"unhandled key {key!r}")
-        except ValueError:
-            raise TrajectoryParseError(line_no, f"bad value for {key}: {value!r}") from None
-    if "scene_channels" in values:
-        values["scene_channels"] = tuple(int(v) for v in values["scene_channels"])
-    if "joint_channels" in values:
-        values["joint_channels"] = tuple(int(v) for v in values["joint_channels"])
+        values[key] = _parse_value(line_no, key, value.strip(), getattr(defaults, key))
     return RunConfig(**values)
 
 
@@ -206,57 +215,37 @@ def read_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
 
 
-def save_attention_params(path, params) -> None:
-    np.savez(
-        path,
-        kind="attention",
-        alpha=params.alpha,
-        beta=params.beta,
-        **{f"w{i}": params.conv_w[i] for i in range(3)},
-        **{f"b{i}": params.conv_b[i] for i in range(3)},
-    )
+def save_params(path, params) -> None:
+    """Write every leaf of a parameter tree to an .npz, keyed by dotted path."""
+    np.savez(path, **flatten(params))
 
 
-def load_attention_params(path):
-    from .attention import AttentionParams
+def load_params(path, like):
+    """Read an archive written by save_params into the shape of ``like``.
 
-    with np.load(path) as z:
-        return AttentionParams(
-            float(z["alpha"]),
-            float(z["beta"]),
-            tuple(z[f"w{i}"] for i in range(3)),
-            tuple(z[f"b{i}"] for i in range(3)),
-        )
+    ``like`` is a freshly initialised tree of the expected class.  Arrays
+    keep their stored dtype (float32 stays float32); scalar leaves take the
+    type of ``like``'s.  Raises ArchiveMismatch for a file that is not an
+    .npz of plain arrays, or naming the first key that is missing, extra,
+    of another shape, or of another kind (int vs float).
+    """
+    try:
+        with open(path, "rb") as f, np.load(f) as z:
+            stored = {key: z[key] for key in z.files}
+    except (ValueError, TypeError, zipfile.BadZipFile) as e:
+        # ValueError: pickled contents, refused; TypeError: a bare .npy array.
+        raise ArchiveMismatch(f"{path}: not an .npz archive of arrays: {e}") from None
+    expected = flatten(like)
+    odd = sorted(set(stored) ^ set(expected))
+    if odd:
+        problem = "missing" if odd[0] in expected else "unexpected"
+        raise ArchiveMismatch(f"{path}: {problem} key {odd[0]!r}")
 
+    def take(key, leaf):
+        arr, want = stored[key], np.asarray(leaf)
+        if arr.shape != want.shape or arr.dtype.kind != want.dtype.kind:
+            raise ArchiveMismatch(f"{path}: key {key!r} holds {arr.dtype} of shape {arr.shape}, "
+                                  f"expected {want.dtype} of shape {want.shape}")
+        return arr if isinstance(leaf, np.ndarray) else type(leaf)(arr.item())
 
-def save_decoder_params(path, params) -> None:
-    arrays = {
-        "squeeze_w": params.squeeze_w, "squeeze_b": params.squeeze_b,
-        "ln_gamma": params.ln_gamma, "ln_beta": params.ln_beta,
-        "down_w": params.down_w, "down_b": params.down_b,
-        "head_w": params.head_w, "head_b": params.head_b,
-    }
-    for i, blk in enumerate(params.blocks):
-        for name in ("dw_w", "dw_b", "pw1_w", "pw1_b", "pw2_w", "pw2_b"):
-            arrays[f"block{i}_{name}"] = getattr(blk, name)
-        arrays[f"block{i}_gamma"] = blk.gamma
-    np.savez(path, kind="decoder", **arrays)
-
-
-def load_decoder_params(path):
-    from .decoder import DecoderParams, DscBlockParams
-
-    with np.load(path) as z:
-        blocks = tuple(
-            DscBlockParams(
-                z[f"block{i}_dw_w"], z[f"block{i}_dw_b"],
-                z[f"block{i}_pw1_w"], z[f"block{i}_pw1_b"],
-                z[f"block{i}_pw2_w"], z[f"block{i}_pw2_b"],
-                float(z[f"block{i}_gamma"]),
-            )
-            for i in range(2)
-        )
-        return DecoderParams(
-            z["squeeze_w"], z["squeeze_b"], z["ln_gamma"], z["ln_beta"],
-            z["down_w"], z["down_b"], blocks, z["head_w"], z["head_b"],
-        )
+    return map_leaves(take, like)

@@ -8,12 +8,10 @@ Every kernel here is pure and deterministic.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadPermutation, NonFiniteFunction, ShapeMismatch
+from .errors import BadPermutation, ShapeMismatch
 
 
 def _pair(v) -> tuple[int, int]:
@@ -151,28 +149,3 @@ def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     if W.ndim != 2 or W.shape[1] != x.size or b.shape != (W.shape[0],):
         raise ShapeMismatch(f"affine shapes: x {x.size}, W {W.shape}, b {b.shape}")
     return W @ x + b
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one probe per element.
-
-    Intended for small verification problems; cost is 2*size evaluations.
-    Raises NonFiniteFunction if any probe returns NaN/Inf.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    xf = x.copy().ravel()
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + h
-        fp = float(f(xf.reshape(x.shape)))
-        xf[i] = orig - h
-        fm = float(f(xf.reshape(x.shape)))
-        xf[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteFunction(f"objective non-finite at element {i}")
-        flat[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -41,6 +41,14 @@ def _errors_l1(pred: PoseVec, target: PoseVec) -> tuple[float, float]:
     return t_err, r_err
 
 
+def _weighted_loss(t_err: float, r_err: float, w: LossWeights) -> float:
+    return t_err * np.exp(-w.lam_t) + w.lam_t + r_err * np.exp(-w.lam_r) + w.lam_r
+
+
+def _weighted_lambda_grad(t_err: float, r_err: float, w: LossWeights) -> tuple[float, float]:
+    return 1.0 - t_err * np.exp(-w.lam_t), 1.0 - r_err * np.exp(-w.lam_r)
+
+
 def geometric_loss(pred: PoseVec, target: PoseVec, w: LossWeights) -> float:
     """L1 translation and quaternion-log errors, each weighted by exp(-lam)
     plus the additive lam regularizer.
@@ -49,14 +57,12 @@ def geometric_loss(pred: PoseVec, target: PoseVec, w: LossWeights) -> float:
     canonicalized first, so sign flips of either argument cannot change
     the value.
     """
-    t_err, r_err = _errors_l1(pred, target)
-    return t_err * np.exp(-w.lam_t) + w.lam_t + r_err * np.exp(-w.lam_r) + w.lam_r
+    return _weighted_loss(*_errors_l1(pred, target), w)
 
 
 def geometric_loss_lambda_grad(pred: PoseVec, target: PoseVec, w: LossWeights) -> tuple[float, float]:
     """Closed-form d loss / d(lam_t, lam_r): 1 - err * exp(-lam)."""
-    t_err, r_err = _errors_l1(pred, target)
-    return 1.0 - t_err * np.exp(-w.lam_t), 1.0 - r_err * np.exp(-w.lam_r)
+    return _weighted_lambda_grad(*_errors_l1(pred, target), w)
 
 
 def descend_loss_weights(
@@ -68,17 +74,13 @@ def descend_loss_weights(
     weights.  The objective is convex in each weight, so moderate step
     sizes decrease it monotonically.
     """
-    lam_t, lam_r = start.lam_t, start.lam_r
-
-    def value():
-        return t_err * np.exp(-lam_t) + lam_t + r_err * np.exp(-lam_r) + lam_r
-
-    history = [float(value())]
+    w = start
+    history = [float(_weighted_loss(t_err, r_err, w))]
     for _ in range(steps):
-        lam_t -= lr * (1.0 - t_err * np.exp(-lam_t))
-        lam_r -= lr * (1.0 - r_err * np.exp(-lam_r))
-        history.append(float(value()))
-    return history, LossWeights(lam_t, lam_r)
+        g_t, g_r = _weighted_lambda_grad(t_err, r_err, w)
+        w = LossWeights(w.lam_t - lr * g_t, w.lam_r - lr * g_r)
+        history.append(float(_weighted_loss(t_err, r_err, w)))
+    return history, w
 
 
 @dataclass(frozen=True)

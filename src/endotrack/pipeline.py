@@ -14,10 +14,11 @@ attention math), not representational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import tree
 from .attention import AttentionParams, attention_forward, attention_init
 from .errors import BadExtent, ShapeMismatch
 from .kernels import activation, concat_channels, conv2d
@@ -64,15 +65,7 @@ class PipelineParams:
     att2: AttentionParams
 
     def astype(self, dtype) -> "PipelineParams":
-        return replace(
-            self,
-            scene1_w=self.scene1_w.astype(dtype), scene1_b=self.scene1_b.astype(dtype),
-            scene2_w=self.scene2_w.astype(dtype), scene2_b=self.scene2_b.astype(dtype),
-            joint1_w=self.joint1_w.astype(dtype), joint1_b=self.joint1_b.astype(dtype),
-            att1=self.att1.astype(dtype),
-            joint2_w=self.joint2_w.astype(dtype), joint2_b=self.joint2_b.astype(dtype),
-            att2=self.att2.astype(dtype),
-        )
+        return tree.astype(self, dtype)
 
 
 def _conv_init(rng, c_out, c_in, kh, kw):

@@ -66,8 +66,8 @@ class NoiseSpec:
         if self.sigma_t < 0 or self.sigma_r < 0:
             raise ShapeMismatch("noise sigmas must be non-negative")
         bias = np.asarray(self.bias_t, dtype=float)
-        if bias.shape != (3,):
-            raise ShapeMismatch(f"bias_t must be a 3-vector, got {bias.shape}")
+        if bias.shape != (3,) or not np.all(np.isfinite(bias)):
+            raise ShapeMismatch(f"bias_t must be a finite 3-vector, got {bias}")
         object.__setattr__(self, "bias_t", bias)
 
 

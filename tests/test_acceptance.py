@@ -14,7 +14,7 @@ import pytest
 
 import endotrack as et
 from endotrack.cli import main as cli_main
-from endotrack.kernels import finite_diff_grad
+from endotrack.checks import finite_diff_grad
 from endotrack.losses import FlowPyramid
 
 from conftest import random_pose, random_unit_quat

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import endotrack as et
 from endotrack.attention import BRANCH_ORDERS, branch_attention
 from endotrack.errors import ShapeMismatch
-from endotrack.kernels import finite_diff_grad, permute
+from endotrack.checks import finite_diff_grad
+from endotrack.kernels import permute
 
 
 def zero_conv_params(params):

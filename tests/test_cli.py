@@ -37,6 +37,14 @@ class TestSynth:
         b_gt, _ = synth_files(tmp_path / "b", capsys, seed=2)
         assert a_gt.read_bytes() != b_gt.read_bytes()
 
+    @pytest.mark.parametrize("bias", ["abc", "1,2,x", "nan,0,0"])
+    def test_bad_bias_t(self, tmp_path, capsys, bias):
+        code, _, err = run(capsys, "synth", "--bias-t", bias, "--out-gt", str(tmp_path / "gt.txt"),
+                           "--out-rels", str(tmp_path / "rels.txt"))
+        assert code == 1
+        assert err.count("\n") == 1 and "bias" in err
+        assert not list(tmp_path.iterdir())
+
     def test_minimal_n(self, tmp_path, capsys):
         gt, rels = synth_files(tmp_path, capsys, n=2)
         assert len(et.read_trajectory(gt)) == 2
@@ -195,6 +203,12 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--size", "64")
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--repeat", "0"), ("--repeat", "-2"), ("--warmup", "-1")])
+    def test_bad_count_arg(self, capsys, flag, value):
+        code, _, err = run(capsys, "bench", "--size", "16x16", flag, value)
+        assert code == 1
+        assert err.count("\n") == 1 and flag in err
+
     def test_fps_non_increasing_in_area(self, capsys):
         import re
 
@@ -220,3 +234,12 @@ class TestConfigFlag:
         cfg.write_text("k = 2\n")
         gt, _ = synth_files(tmp_path, capsys, extra=("--config", str(cfg), "--k", "3"))
         assert et.read_trajectory(gt).k == 3
+
+    @pytest.mark.parametrize("line", ["scene_channels = 8.7,8", "lam_t = inf",
+                                      "flow_theta = -1,nan,1,1,1"])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{line}\n")
+        code, _, err = run(capsys, "bench", "--size", "16x16", "--repeat", "1", "--config", str(cfg))
+        assert code == 2
+        assert err.count("\n") == 1 and "line 2" in err

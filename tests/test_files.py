@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import endotrack as et
 from endotrack.errors import (
+    ArchiveMismatch,
     BadChannelCount,
     BadPenalty,
     NotARotation,
@@ -11,12 +14,10 @@ from endotrack.errors import (
 )
 from endotrack.files import (
     format_trajectory,
-    load_attention_params,
-    load_decoder_params,
+    load_params,
     parse_config,
     parse_trajectory,
-    save_attention_params,
-    save_decoder_params,
+    save_params,
 )
 
 
@@ -127,6 +128,11 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(TrajectoryParseError, match="line 1"):
             parse_config("k = four\n")
+        # Values must parse as the field's own type, and floats be finite.
+        for bad in ("scene_channels = 8.7,8", "lam_t = inf", "flow_theta = -1,nan,1,1,1",
+                    "k = 2.0", "lam_r = 1,2"):
+            with pytest.raises(TrajectoryParseError, match="line 2"):
+                parse_config(f"seed = 3\n{bad}\n")
 
     def test_validation_propagates(self):
         with pytest.raises(BadPenalty):
@@ -139,8 +145,8 @@ class TestParamArchives:
     def test_attention_round_trip(self, tmp_path):
         p = et.attention_init(12)
         path = tmp_path / "att.npz"
-        save_attention_params(path, p)
-        back = load_attention_params(path)
+        save_params(path, p)
+        back = load_params(path, et.attention_init(0))
         assert back.alpha == p.alpha and back.beta == p.beta
         x = np.random.default_rng(0).standard_normal((4, 4, 3))
         assert np.array_equal(et.attention_forward(x, p), et.attention_forward(x, back))
@@ -148,12 +154,68 @@ class TestParamArchives:
     def test_decoder_round_trip(self, tmp_path):
         p = et.decoder_init(12, 12, seed=8)
         path = tmp_path / "dec.npz"
-        save_decoder_params(path, p)
-        back = load_decoder_params(path)
+        save_params(path, p)
+        back = load_params(path, et.decoder_init(12, 12))
         assert back.blocks[0].gamma == p.blocks[0].gamma
         x = np.random.default_rng(1).standard_normal((12, 8, 8))
         a, b = et.decoder_forward(x, p), et.decoder_forward(x, back)
         assert np.array_equal(a.t, b.t) and np.array_equal(a.q, b.q)
+
+    def test_pipeline_f32_round_trip(self, tmp_path):
+        cfg = et.PipelineConfig(height=16, width=16, scene_channels=(4, 6), seed=3)
+        p = et.init_pipeline(cfg).astype(np.float32)
+        path = tmp_path / "pipe.npz"
+        save_params(path, p)
+        back = load_params(path, et.init_pipeline(replace(cfg, seed=0)))
+        assert back.config == cfg
+        assert back.scene1_w.dtype == np.float32 and back.att2.conv_b[1].dtype == np.float32
+        assert type(back.att1.alpha) is float
+        r = np.random.default_rng(2)
+        prev, cur = (r.standard_normal((3, 16, 16)).astype(np.float32) for _ in range(2))
+        flow = r.standard_normal((2, 16, 16)).astype(np.float32)
+        a = et.pipeline_forward(prev, cur, flow, p)
+        b = et.pipeline_forward(prev, cur, flow, back)
+        assert a.dtype == np.float32 and np.array_equal(a, b)
+
+    def test_mismatch_names_key(self, tmp_path):
+        p = et.decoder_init(12, 12, seed=8)
+        with np.load(self._saved(tmp_path, p)) as z:
+            arrays = dict(z)
+        cases = {
+            "missing": ({k: v for k, v in arrays.items() if k != "blocks.1.pw1_b"}, "blocks.1.pw1_b"),
+            "extra": ({**arrays, "kind": np.array("decoder")}, "kind"),
+            "shape": ({**arrays, "head_w": np.zeros((7, 9))}, "head_w"),
+            "kind": ({**arrays, "blocks.0.gamma": np.array(1)}, "blocks.0.gamma"),
+        }
+        for name, (contents, key) in cases.items():
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, **contents)
+            with pytest.raises(ArchiveMismatch, match=key.replace(".", r"\.")):
+                load_params(path, et.decoder_init(12, 12))
+
+    def test_wrong_like_class(self, tmp_path):
+        path = self._saved(tmp_path, et.attention_init(1))
+        with pytest.raises(ArchiveMismatch, match="key"):
+            load_params(path, et.decoder_init(12, 12))
+
+    def test_not_an_archive(self, tmp_path):
+        text, npy = tmp_path / "text.npz", tmp_path / "single.npy"
+        text.write_text("hello\n")
+        np.save(npy, np.zeros(3))
+        whole = self._saved(tmp_path, et.attention_init(0)).read_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(whole[: len(whole) // 2])
+        objects = tmp_path / "objects.npz"
+        np.savez(objects, alpha=np.array(None, dtype=object))
+        for path in (text, npy, cut, objects):
+            with pytest.raises(ArchiveMismatch, match="not an .npz archive"):
+                load_params(path, et.attention_init(0))
+
+    @staticmethod
+    def _saved(tmp_path, params):
+        path = tmp_path / "saved.npz"
+        save_params(path, params)
+        return path
 
 
 class TestAtomicWrite:
@@ -163,4 +225,14 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         atomic_write_text(target, "hello\n")
         assert target.read_text() == "hello\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_keeps_old_file_and_no_tmp(self, tmp_path):
+        from endotrack.files import atomic_write_text
+
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "\ud800")
+        assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from endotrack import kernels
+from endotrack.checks import finite_diff_grad
 from endotrack.errors import BadPermutation, NonFiniteFunction, ShapeMismatch
 
 RELTOL = 1e-12
@@ -249,23 +250,27 @@ class TestAffine:
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
-        grad = kernels.finite_diff_grad(lambda x: float(np.sum(x**2)), np.array([1.0, 2.0]))
+        grad = finite_diff_grad(lambda x: float(np.sum(x**2)), np.array([1.0, 2.0]))
         assert np.allclose(grad, [2.0, 4.0], atol=1e-6)
+        x = np.array([[1.0, -2.0], [0.5, 3.0]])
+        grad = finite_diff_grad(lambda v: float(np.sum(v**2 * [[1.0, 2.0], [3.0, 4.0]])), x)
+        assert grad.shape == x.shape
+        assert np.allclose(grad, 2 * x * [[1.0, 2.0], [3.0, 4.0]], atol=1e-6)
 
     def test_sigmoid_derivative(self):
         def f(x):
             return float(kernels.activation(x, "sigmoid")[0])
 
-        grad = kernels.finite_diff_grad(f, np.array([0.0]))
+        grad = finite_diff_grad(f, np.array([0.0]))
         assert grad[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_nonfinite_raises(self):
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteFunction):
-            kernels.finite_diff_grad(lambda x: float(np.log(x[0])), np.array([1e-9]), h=1e-5)
+            finite_diff_grad(lambda x: float(np.log(x[0])), np.array([1e-9]), h=1e-5)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            kernels.finite_diff_grad(lambda x: 0.0, np.zeros(2), h=0.0)
+            finite_diff_grad(lambda x: 0.0, np.zeros(2), h=0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import endotrack as et
 from endotrack.errors import BadExtent, BadPenalty, InvalidQuaternion, ShapeMismatch
-from endotrack.kernels import finite_diff_grad
+from endotrack.checks import finite_diff_grad
 from endotrack.losses import FlowPyramid
 
 from conftest import random_pose, random_unit_quat
