@@ -1,11 +1,11 @@
-"""Multi-dimensional attention over three axis permutations of a feature map.
+"""Multi-dimensional attention: three branches, each pooling one axis of a map.
 
-The input map (H, W, C) is viewed three ways: (H, W, C), (C, H, W) and
-(W, C, H).  Each view is pooled over its last axis (max and mean, blended
-by the learnable scalars alpha and beta), passed through a per-branch 1x3
-convolution along the view's second axis, and squashed by a sigmoid into a
-2-D attention map.  The map scales its view (broadcast along the pooled
-axis); the three re-aligned results are averaged with equal weight 1/3.
+The branches pool an (H, W, C) map over C, W and H (max and mean, blended
+by the learnable scalars alpha and beta) into (H, W), (H, C) and (W, C)
+planes.  Each plane goes through its branch's 1x3 convolution, sliding
+along W, H and C respectively, and a sigmoid, giving a 2-D attention map.
+The input is scaled by the mean of the three maps, each broadcast along
+the axis its branch pooled.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeMismatch
-from .kernels import activation, conv2d, inverse_order, permute, pool_last_axis
+from .kernels import activation, conv2d, pool_last_axis
+from .kernels import permute  # noqa: F401  unused; perfbench/layers.py wraps attention.permute by name
 
-# Axis orders producing the (H,W,C), (C,H,W), (W,C,H) views of an (H,W,C) map.
-BRANCH_ORDERS = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+# Per branch: the (H, W, C) axis it pools; kernel shape and pad sliding its 1x3 conv along W, H, C.
+_BRANCHES = ((2, (1, 1, 1, 3), (0, 1)), (1, (1, 1, 3, 1), (1, 0)), (0, (1, 1, 1, 3), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -45,28 +46,26 @@ def attention_init(seed: int) -> AttentionParams:
     return AttentionParams(alpha, beta, conv_w, conv_b)
 
 
-def branch_attention(view: np.ndarray, params: AttentionParams, branch: int) -> np.ndarray:
-    """2-D attention map in (0, 1) for one permuted view."""
-    pooled = (
-        params.alpha * pool_last_axis(view, "max")
-        + params.beta * pool_last_axis(view, "avg")
-    )[..., 0]
-    raw = conv2d(pooled[None], params.conv_w[branch], params.conv_b[branch], pad=(0, 1))
-    return activation(raw, "sigmoid")[0]
+def attention_maps(f0: np.ndarray, params: AttentionParams) -> tuple:
+    """The three branch maps in (0, 1), shaped (H, W), (H, C) and (W, C)."""
+    f0 = np.asarray(f0)
+    if f0.ndim != 3:
+        raise ShapeMismatch(f"expected a rank-3 (H,W,C) map, got shape {f0.shape}")
+    maps = []
+    for branch, (axis, kernel_shape, pad) in enumerate(_BRANCHES):
+        view = np.moveaxis(f0, axis, -1)
+        pooled = params.alpha * pool_last_axis(view, "max") + params.beta * pool_last_axis(view, "avg")
+        w = params.conv_w[branch].reshape(kernel_shape)
+        raw = conv2d(pooled[None, ..., 0], w, params.conv_b[branch], pad=pad)
+        maps.append(activation(raw, "sigmoid")[0])
+    return tuple(maps)
 
 
 def attention_forward(f0: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Apply the three-branch attention; output shape equals input shape."""
     f0 = np.asarray(f0)
-    if f0.ndim != 3:
-        raise ShapeMismatch(f"expected a rank-3 (H,W,C) map, got shape {f0.shape}")
-    out = np.zeros_like(f0, dtype=np.result_type(f0, params.conv_w[0]))
-    for branch, order in enumerate(BRANCH_ORDERS):
-        view = permute(f0, order)
-        amap = branch_attention(view, params, branch)
-        attended = view * amap[:, :, None]
-        out += permute(attended, inverse_order(order))
-    return out / 3.0
+    hw, hc, wc = attention_maps(f0, params)
+    return f0 * (hw[:, :, None] + hc[:, None, :] + wc[None]) / 3.0
 
 
 def attention_grad_check(f0: np.ndarray, params: AttentionParams, h: float = 1e-4):

@@ -2,7 +2,7 @@
 
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
-(C, H, W) layout; the attention block permutes its own (H, W, C) views.
+(C, H, W) layout; the attention block pools its (H, W, C) maps through views.
 Every kernel here is pure and deterministic.
 """
 
@@ -28,14 +28,6 @@ def permute(x: np.ndarray, order) -> np.ndarray:
     if sorted(order) != list(range(x.ndim)):
         raise BadPermutation(f"{order} is not a permutation of 0..{x.ndim - 1}")
     return np.transpose(x, order).copy()
-
-
-def inverse_order(order) -> tuple[int, ...]:
-    order = tuple(int(a) for a in order)
-    inv = [0] * len(order)
-    for i, a in enumerate(order):
-        inv[a] = i
-    return tuple(inv)
 
 
 def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:

@@ -6,12 +6,17 @@ truth sharing the same world frame and units (no alignment step):
 * ate  - Euclidean distance between absolute translations.
 * ce   - mean over the three extrinsic X-Y-Z Euler-angle pairs of
          (1 - cos(angle difference)); dimensionless in [0, 2].
-* de   - angle in degrees between the rotated x-axes of the two poses.
+* de   - angle in degrees between the rotated x-axes u, v of the two
+         poses, 2 * atan2(|u - v|, |u + v|).
 * rte  - translation norm of the relative-pose error transform.
-* rot  - geodesic angle in degrees of the relative-pose error rotation,
-         acos((trace - 1) / 2) with the argument clamped.  The unclamped
+* rot  - geodesic angle in degrees of the relative-pose error rotation E,
+         atan2(|axial(E - E^T)| / 2, (trace E - 1) / 2).  The unclamped
          linear form (trace-1)/2 * 180/pi is deliberately not used: it
          reads 57.3 at zero error and is not an angle.
+
+Both angles use atan2 rather than acos of a cosine: acos near 1 turns
+rounding of order 1e-16 into an angle of order 1e-8 rad, so zero error
+would not read as zero.
 
 Summaries report mean +/- population standard deviation.
 """
@@ -25,8 +30,6 @@ import numpy as np
 from .errors import AlignmentError, UnitMismatch
 from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, relative_pose
 from .tracker import Trajectory
-
-_EX = np.array([1.0, 0.0, 0.0])
 
 
 def _check_units(gt: Pose, est: Pose) -> None:
@@ -51,8 +54,8 @@ def ce(gt: Pose, est: Pose) -> float:
 
 
 def de(gt: Pose, est: Pose) -> float:
-    dot = np.clip(np.dot(est.R @ _EX, gt.R @ _EX), -1.0, 1.0)
-    return float(np.degrees(np.arccos(dot)))
+    u, v = gt.R[:, 0], est.R[:, 0]
+    return float(np.degrees(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v))))
 
 
 def rte(gt_rel: Pose, est_rel: Pose) -> float:
@@ -61,9 +64,9 @@ def rte(gt_rel: Pose, est_rel: Pose) -> float:
 
 
 def rot(gt_rel: Pose, est_rel: Pose) -> float:
-    r_err = gt_rel.R.T @ est_rel.R
-    cos_angle = np.clip((np.trace(r_err) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos_angle)))
+    e = gt_rel.R.T @ est_rel.R
+    axial = (e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1])
+    return float(np.degrees(np.arctan2(np.linalg.norm(axial) / 2.0, (np.trace(e) - 1.0) / 2.0)))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("height", "width"):
-            if getattr(self, name) < 4:
-                raise BadExtent(f"{name} must be >= 4, got {getattr(self, name)}")
+            if getattr(self, name) < 5:
+                raise BadExtent(f"{name} must be >= 5 (after two stride-2 stems the decoder's 2x2 "
+                                f"stride-2 downsample needs 2 pixels), got {getattr(self, name)}")
         for name in ("scene_channels", "joint_channels"):
             pair = tuple(int(c) for c in getattr(self, name))
             if len(pair) != 2 or min(pair) < 1:

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endotrack as et
-from endotrack.attention import BRANCH_ORDERS, branch_attention
+from endotrack import tree
+from endotrack.attention import attention_maps
 from endotrack.errors import ShapeMismatch
 from endotrack.checks import finite_diff_grad
-from endotrack.kernels import permute
+
+from attention_oracle import oracle_attention_forward
 
 
 def zero_conv_params(params):
@@ -83,8 +85,7 @@ class TestForward:
         for seed in range(10):
             p = et.attention_init(seed)
             x = 10.0 * np.random.default_rng(seed).standard_normal((6, 5, 4))
-            for branch, order in enumerate(BRANCH_ORDERS):
-                amap = branch_attention(permute(x, order), p, branch)
+            for amap in attention_maps(x, p):
                 assert np.all(amap > 0.0) and np.all(amap < 1.0)
 
     def test_saturated_bias_recovers_input(self, rng):
@@ -103,6 +104,34 @@ class TestForward:
     def test_rank_check(self):
         with pytest.raises(ShapeMismatch):
             et.attention_forward(np.zeros((3, 3)), et.attention_init(0))
+
+
+class TestMatchesPermuteOracle:
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 4), (8, 8, 6), (4, 5, 6),
+                                       (1, 8, 6), (8, 1, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_f64(self, shape, seed):
+        p = et.attention_init(seed)
+        x = np.random.default_rng(seed).standard_normal(shape)
+        h, w, c = shape
+        assert [m.shape for m in attention_maps(x, p)] == [(h, w), (h, c), (w, c)]
+        out = et.attention_forward(x, p)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-12
+
+    def test_f32(self, rng):
+        p = tree.astype(et.attention_init(4), np.float32)
+        x = rng.standard_normal((32, 32, 8)).astype(np.float32)
+        out = et.attention_forward(x, p)
+        assert out.dtype == np.float32
+        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-6
+
+    def test_f32_input_f64_params_gives_f64(self, rng):
+        p = et.attention_init(5)
+        x = rng.standard_normal((6, 5, 4)).astype(np.float32)
+        out = et.attention_forward(x, p)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-12
 
 
 class TestGradCheck:

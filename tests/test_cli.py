@@ -203,6 +203,13 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--size", "64")
         assert code == 1
 
+    def test_smallest_frame_size(self, capsys):
+        code, _, err = run(capsys, "bench", "--size", "4x4", "--repeat", "1")
+        assert code == 1
+        assert err.count("\n") == 1 and "height" in err
+        code, _, _ = run(capsys, "bench", "--size", "5x5", "--repeat", "1")
+        assert code == 0
+
     @pytest.mark.parametrize("flag,value", [("--repeat", "0"), ("--repeat", "-2"), ("--warmup", "-1")])
     def test_bad_count_arg(self, capsys, flag, value):
         code, _, err = run(capsys, "bench", "--size", "16x16", flag, value)
@@ -212,11 +219,15 @@ class TestBench:
     def test_fps_non_increasing_in_area(self, capsys):
         import re
 
-        fps = []
-        for size in ("32x32", "64x64", "128x128"):
-            code, out, _ = run(capsys, "bench", "--size", size, "--repeat", "5", "--warmup", "2", "--f32")
-            assert code == 0
-            fps.append(float(re.search(r"-> ([0-9.]+) fps", out).group(1)))
+        # Interleaved rounds, best fps per size: a spell of outside load then
+        # slows one round of every size instead of all repeats of one size.
+        sizes = ("32x32", "64x64", "128x128")
+        fps = [0.0] * len(sizes)
+        for _ in range(3):
+            for i, size in enumerate(sizes):
+                code, out, _ = run(capsys, "bench", "--size", size, "--repeat", "5", "--warmup", "2", "--f32")
+                assert code == 0
+                fps[i] = max(fps[i], float(re.search(r"-> ([0-9.]+) fps", out).group(1)))
         # Allow 10% timing jitter; the areas differ by 4x each step.
         assert fps[1] <= fps[0] * 1.10
         assert fps[2] <= fps[1] * 1.10

@@ -1,5 +1,6 @@
 """Metric tests; oracles are scalar re-derivations written here plus scipy
-for the Euler decomposition, never the package's own code path."""
+for the Euler decomposition and the rotation angle, never the package's own
+code path."""
 
 import math
 
@@ -33,8 +34,9 @@ def oracle_ce(gt, est):
 def oracle_de(gt, est):
     u = [gt.R[i][0] for i in range(3)]
     v = [est.R[i][0] for i in range(3)]
-    dot = max(-1.0, min(1.0, sum(a * b for a, b in zip(u, v))))
-    return math.degrees(math.acos(dot))
+    cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    dot = sum(a * b for a, b in zip(u, v))
+    return math.degrees(math.atan2(math.sqrt(sum(c * c for c in cross)), dot))
 
 
 def oracle_rte(gt_rel, est_rel):
@@ -44,8 +46,7 @@ def oracle_rte(gt_rel, est_rel):
 
 def oracle_rot(gt_rel, est_rel):
     err = np.linalg.inv(pose_matrix(gt_rel)) @ pose_matrix(est_rel)
-    tr = err[0, 0] + err[1, 1] + err[2, 2]
-    return math.degrees(math.acos(max(-1.0, min(1.0, (tr - 1.0) / 2.0))))
+    return math.degrees(Rotation.from_matrix(err[:3, :3]).magnitude())
 
 
 ORACLES = {"ate": oracle_ate, "ce": oracle_ce, "de": oracle_de, "rte": oracle_rte, "rot": oracle_rot}
@@ -144,9 +145,7 @@ class TestSymmetries:
 
 class TestEvaluate:
     def test_equal_trajectories_zero(self):
-        # acos conditioning near 1 turns ~1e-16 rounding into ~1e-7 deg for
-        # the angle metrics; that is the numerical zero for DE/ROT.
-        tol = {"ate": 1e-12, "ce": 1e-12, "de": 1e-5, "rte": 1e-12, "rot": 1e-5}
+        tol = {"ate": 1e-12, "ce": 1e-12, "de": 1e-12, "rte": 1e-12, "rot": 1e-12}
         gt = et.synth_trajectory(20, seed=3)
         rep = et.evaluate(gt, gt)
         for name, (mean, std) in rep.summary().items():

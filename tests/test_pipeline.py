@@ -19,6 +19,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(BadExtent):
             et.PipelineConfig(height=2)
+        with pytest.raises(BadExtent, match="height"):
+            et.PipelineConfig(height=4)
+        with pytest.raises(BadExtent, match="width"):
+            et.PipelineConfig(width=4)
         with pytest.raises(BadExtent):
             et.PipelineConfig(scene_channels=(0, 4))
 
