@@ -16,7 +16,7 @@ import endotrack as et
 
 
 def decile_ratio(gt, est):
-    errs = np.array([np.linalg.norm(g.t - e.t) for g, e in zip(gt.poses[1:], est.poses[1:])])
+    errs = et.ate(gt, est)[1:]
     n = len(errs) // 10
     return errs[-n:].mean() / errs[:n].mean(), errs.mean()
 

@@ -37,10 +37,8 @@ from .se3 import (
     identity_pose,
     orthonormalize,
     pose_compose,
-    pose_from_matrix,
     pose_from_vec,
     pose_inverse,
-    pose_to_matrix,
     pose_to_vec,
     quat_log,
     quat_normalize,

@@ -1,8 +1,8 @@
 """Command-line surface: synth, track, eval, gradcheck, bench.
 
 Exit codes: 0 success, 2 file parse error (message names the line),
-3 invalid pose in an input file, 4 unit or stride mismatch between
-trajectories, 1 for other validation failures.
+3 invalid pose in an input file, 4 unit, stride or frame-index mismatch
+between trajectories, 1 for other validation failures.
 """
 
 from __future__ import annotations
@@ -25,29 +25,30 @@ from .errors import (
     UnitMismatch,
     ZeroQuaternion,
 )
-from .files import RunConfig, read_config, read_trajectory, write_trajectory
+from .files import RunConfig, atomic_write_text, read_config, read_trajectory, write_trajectory
 from .metrics import evaluate
 from .pipeline import init_pipeline, pipeline_forward
-from .tracker import NoiseSpec, Trajectory, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
+from .tracker import NoiseSpec, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
 
 
 def _load_config(args) -> RunConfig:
-    return read_config(args.config) if args.config else RunConfig()
+    """The --config file (or the defaults) with --seed and --k applied, validated together."""
+    cfg = read_config(args.config) if args.config else RunConfig()
+    flags = {key: getattr(args, key, None) for key in ("seed", "k")}
+    return replace(cfg, **{key: v for key, v in flags.items() if v is not None})
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    k = args.k if args.k is not None else cfg.k
-    seed = args.seed if args.seed is not None else cfg.seed
     try:
         bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
         raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
-    gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=k)
-    spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
+    gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=cfg.seed, unit=args.unit, k=cfg.k)
+    spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=cfg.seed + 1)
     rels = perturb_relatives(gt, spec)
     write_trajectory(args.out_gt, gt)
-    write_trajectory(args.out_rels, Trajectory(gt.frames[1:], tuple(rels), k=k, unit=args.unit))
+    write_trajectory(args.out_rels, rels)
     print(f"wrote {args.out_gt} ({len(gt)} poses) and {args.out_rels} ({len(rels)} relatives)")
     return 0
 
@@ -59,10 +60,13 @@ def cmd_track(args) -> int:
         raise UnitMismatch(f"relatives unit {rels.unit!r} vs base unit {base.unit!r}")
     if rels.k != base.k:
         raise AlignmentError(f"stride mismatch: relatives k={rels.k} vs base k={base.k}")
+    if rels.start != base.start + base.k:
+        raise AlignmentError(f"relatives start at frame {rels.start}, but base frame "
+                             f"{base.start} is followed by frame {base.start + base.k}")
     if args.mode == "chained":
-        est = chain_absolute(base.poses[0], rels.poses, k=base.k, start=base.frames[0])
+        est = chain_absolute(base.poses[0], rels, k=base.k, start=base.start)
     else:
-        est = chain_rebased(base, rels.poses)
+        est = chain_rebased(base, rels)
     write_trajectory(args.out, est)
     print(f"wrote {args.out} ({len(est)} poses, mode={args.mode})")
     return 0
@@ -75,17 +79,14 @@ def cmd_eval(args) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        from .files import atomic_write_text
-
         atomic_write_text(args.out, text + "\n")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.seed
-    entries = run_gradient_checks(seed, inject_nan=args.inject_nan)
-    print(format_entries(entries, seed))
+    entries = run_gradient_checks(cfg.seed, inject_nan=args.inject_nan)
+    print(format_entries(entries, cfg.seed))
     return 0 if all(e.passed for e in entries) else 1
 
 

@@ -6,7 +6,11 @@ class EndotrackError(ValueError):
 
 
 class ZeroQuaternion(EndotrackError):
-    """Quaternion norm too small to normalize."""
+    """Quaternion norm too small to normalize; ``index`` locates it in a stack."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidQuaternion(EndotrackError):

@@ -33,7 +33,7 @@ from .errors import (
     ZeroQuaternion,
 )
 from .pipeline import PipelineConfig
-from .se3 import Pose, PoseVec, pose_from_vec, pose_to_vec
+from .se3 import PoseVec, pose_from_vec, pose_to_vec
 from .tracker import Trajectory
 from .tree import flatten, map_leaves
 
@@ -58,13 +58,10 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def format_trajectory(traj: Trajectory) -> str:
-    lines = [f"unit={traj.unit} k={traj.k}"]
-    for frame, pose in zip(traj.frames, traj.poses):
-        v = pose_to_vec(pose)
-        w, x, y, z = v.q
-        vals = (*v.t, x, y, z, w)
-        lines.append(f"{frame} " + " ".join(repr(float(a)) for a in vals))
-    return "\n".join(lines) + "\n"
+    v = pose_to_vec(traj)
+    rows = np.concatenate([v.t, v.q[:, 1:], v.q[:, :1]], axis=1).tolist()
+    lines = [f"{frame} " + " ".join(map(repr, row)) for frame, row in zip(traj.frames, rows)]
+    return "\n".join([f"unit={traj.unit} k={traj.k}", *lines]) + "\n"
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
@@ -93,9 +90,9 @@ def _parse_header(line_no: int, line: str) -> tuple[str, int]:
 
 def parse_trajectory(text: str) -> Trajectory:
     unit = None
-    k = 0
     frames: list[int] = []
-    poses: list[Pose] = []
+    rows: list[list[float]] = []
+    line_nos: list[int] = []
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,23 +109,27 @@ def parse_trajectory(text: str) -> Trajectory:
             vals = [float(t) for t in tokens[1:]]
         except ValueError as e:
             raise TrajectoryParseError(line_no, str(e)) from None
-        if not np.all(np.isfinite(vals)):
-            raise NotARotation(f"line {line_no}: pose contains non-finite values")
+        # Also rejects NaN and inf.  Squared norms of sums of values this size stay finite.
+        if not all(abs(v) <= 1e150 for v in vals):
+            raise NotARotation(f"line {line_no}: pose values must be finite and at most 1e150 in magnitude")
         if frames and frame - frames[-1] != k:
             raise TrajectoryParseError(
                 line_no, f"frame index {frame} does not follow {frames[-1]} by k={k}"
             )
-        tx, ty, tz, qx, qy, qz, qw = vals
-        try:
-            poses.append(pose_from_vec(PoseVec([tx, ty, tz], [qw, qx, qy, qz]), unit))
-        except ZeroQuaternion as e:
-            raise ZeroQuaternion(f"line {line_no}: {e}") from None
         frames.append(frame)
+        rows.append(vals)
+        line_nos.append(line_no)
     if unit is None:
         raise TrajectoryParseError(line_no, "missing header line 'unit=<mm|cm> k=<int>'")
-    if not poses:
+    if not rows:
         raise TrajectoryParseError(line_no, "no pose rows")
-    return Trajectory(tuple(frames), tuple(poses), k=k, unit=unit)
+    v = np.array(rows)
+    try:
+        # Scalar-last on disk -> scalar-first internally.
+        poses = pose_from_vec(PoseVec(v[:, :3], np.roll(v[:, 3:], 1, axis=1)), unit)
+    except ZeroQuaternion as e:
+        raise ZeroQuaternion(f"line {line_nos[e.index[0]]}: {e}") from None
+    return Trajectory(poses.R, poses.t, k, unit, frames[0])
 
 
 def read_trajectory(path) -> Trajectory:
@@ -155,6 +156,8 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 1:
             raise BadExtent(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise BadExtent(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.flow_q < 1.0:
             raise BadPenalty(f"flow_q must lie in (0, 1), got {self.flow_q}")
         if self.flow_eps <= 0.0:

@@ -18,7 +18,8 @@ Both angles use atan2 rather than acos of a cosine: acos near 1 turns
 rounding of order 1e-16 into an angle of order 1e-8 rad, so zero error
 would not read as zero.
 
-Summaries report mean +/- population standard deviation.
+Each metric takes two poses or two trajectories and returns one value per
+pose.  Summaries report mean +/- population standard deviation.
 """
 
 from __future__ import annotations
@@ -28,45 +29,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, UnitMismatch
-from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, relative_pose
+from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
 from .tracker import Trajectory
 
 
-def _check_units(gt: Pose, est: Pose) -> None:
+def _check_units(gt, est) -> None:
     if gt.unit != est.unit:
         raise UnitMismatch(f"gt unit {gt.unit!r} vs est unit {est.unit!r}")
 
 
-def _wrap_pi(d: float) -> float:
+def _wrap_pi(d: np.ndarray) -> np.ndarray:
     r = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return np.pi if r == -np.pi else r
+    return np.where(r == -np.pi, np.pi, r)
 
 
-def ate(gt: Pose, est: Pose) -> float:
+def ate(gt: Pose, est: Pose) -> np.ndarray:
     _check_units(gt, est)
-    return float(np.linalg.norm(gt.t - est.t))
+    return vec_norm(gt.t - est.t)
 
 
-def ce(gt: Pose, est: Pose) -> float:
-    eg = euler_from_rotmat(gt.R)
-    ee = euler_from_rotmat(est.R)
-    return float(np.mean([1.0 - np.cos(_wrap_pi(a - b)) for a, b in zip(eg, ee)]))
+def ce(gt: Pose, est: Pose) -> np.ndarray:
+    pairs = zip(euler_from_rotmat(gt.R), euler_from_rotmat(est.R))
+    return sum(1.0 - np.cos(_wrap_pi(a - b)) for a, b in pairs) / 3.0
 
 
-def de(gt: Pose, est: Pose) -> float:
-    u, v = gt.R[:, 0], est.R[:, 0]
-    return float(np.degrees(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v))))
+def de(gt: Pose, est: Pose) -> np.ndarray:
+    u, v = gt.R[..., :, 0], est.R[..., :, 0]
+    return np.degrees(2.0 * np.arctan2(vec_norm(u - v), vec_norm(u + v)))
 
 
-def rte(gt_rel: Pose, est_rel: Pose) -> float:
+def rte(gt_rel: Pose, est_rel: Pose) -> np.ndarray:
     _check_units(gt_rel, est_rel)
-    return float(np.linalg.norm(pose_compose(pose_inverse(gt_rel), est_rel).t))
+    return vec_norm(pose_compose(pose_inverse(gt_rel), est_rel).t)
 
 
-def rot(gt_rel: Pose, est_rel: Pose) -> float:
-    e = gt_rel.R.T @ est_rel.R
-    axial = (e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1])
-    return float(np.degrees(np.arctan2(np.linalg.norm(axial) / 2.0, (np.trace(e) - 1.0) / 2.0)))
+def rot(gt_rel: Pose, est_rel: Pose) -> np.ndarray:
+    e = np.swapaxes(gt_rel.R, -1, -2) @ est_rel.R
+    axial = np.stack([e[..., 2, 1] - e[..., 1, 2], e[..., 0, 2] - e[..., 2, 0],
+                      e[..., 1, 0] - e[..., 0, 1]], axis=-1)
+    trace = e[..., 0, 0] + e[..., 1, 1] + e[..., 2, 2]
+    return np.degrees(np.arctan2(vec_norm(axial) / 2.0, (trace - 1.0) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,11 @@ class MetricReport:
 
     _UNITS = {"ate": "{unit}", "ce": "", "de": "deg", "rte": "{unit}", "rot": "deg"}
 
-    def series(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def summary(self) -> dict:
         """name -> (mean, population std); empty series report (0.0, 0.0)."""
-        out = {}
-        for name in ("ate", "ce", "de", "rte", "rot"):
-            s = self.series(name)
-            if s.size == 0:
-                out[name] = (0.0, 0.0)
-            else:
-                out[name] = (float(np.mean(s)), float(np.std(s)))
-        return out
+        series = {name: getattr(self, name) for name in ("ate", "ce", "de", "rte", "rot")}
+        return {name: (float(np.mean(s)), float(np.std(s))) if s.size else (0.0, 0.0)
+                for name, s in series.items()}
 
     def to_text(self) -> str:
         lines = [f"# unit={self.unit} frames={len(self.frames)}",
@@ -113,17 +107,11 @@ def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
 
     Trajectories must agree in unit tag, stride, and frame indices.
     """
-    if gt.unit != est.unit:
-        raise UnitMismatch(f"gt unit {gt.unit!r} vs est unit {est.unit!r}")
+    _check_units(gt, est)
     if gt.k != est.k:
         raise AlignmentError(f"stride mismatch: {gt.k} vs {est.k}")
-    if gt.frames != est.frames:
+    if gt.start != est.start or len(gt) != len(est):
         raise AlignmentError("frame indices differ")
-    ates = np.array([ate(g, e) for g, e in zip(gt.poses, est.poses)])
-    ces = np.array([ce(g, e) for g, e in zip(gt.poses, est.poses)])
-    des = np.array([de(g, e) for g, e in zip(gt.poses, est.poses)])
-    gt_rels = gt.relatives()
-    est_rels = est.relatives()
-    rtes = np.array([rte(g, e) for g, e in zip(gt_rels, est_rels)])
-    rots = np.array([rot(g, e) for g, e in zip(gt_rels, est_rels)])
-    return MetricReport(gt.frames, ates, ces, des, rtes, rots, gt.unit)
+    gt_rels, est_rels = gt.relatives(), est.relatives()
+    return MetricReport(gt.frames, ate(gt, est), ce(gt, est), de(gt, est),
+                        rte(gt_rels, est_rels), rot(gt_rels, est_rels), gt.unit)

@@ -9,6 +9,8 @@ Conventions, fixed once for the whole package:
   a metadata tag; the algebra never converts them.
 * Euler angles are extrinsic X-Y-Z: ``R = Rz(rz) @ Ry(ry) @ Rx(rx)`` about
   the fixed world axes.
+* Every function but ``quat_log`` broadcasts over leading axes (q (..., 4),
+  R (..., 3, 3), t (..., 3)); each row of a stack comes out bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ ORTHO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: 3x3 rotation ``R`` plus translation ``t``."""
+    """Rigid transform, or a stack of them: ``R`` (..., 3, 3) plus ``t`` (..., 3)."""
 
     R: np.ndarray
     t: np.ndarray
@@ -36,17 +38,17 @@ class Pose:
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
         t = np.asarray(self.t, dtype=float)
-        if R.shape != (3, 3):
+        if R.shape[-2:] != (3, 3):
             raise ShapeMismatch(f"rotation must be 3x3, got {R.shape}")
-        if t.shape != (3,):
-            raise ShapeMismatch(f"translation must be a 3-vector, got {t.shape}")
+        if t.shape != R.shape[:-2] + (3,):
+            raise ShapeMismatch(f"translation must be a 3-vector per rotation, got {t.shape}")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
 
 @dataclass(frozen=True)
 class PoseVec:
-    """7-parameter pose: translation plus scalar-first unit quaternion."""
+    """7-parameter pose: translation (..., 3) plus scalar-first unit quaternion (..., 4)."""
 
     t: np.ndarray
     q: np.ndarray
@@ -54,10 +56,10 @@ class PoseVec:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         q = np.asarray(self.q, dtype=float)
-        if t.shape != (3,):
+        if t.shape[-1:] != (3,):
             raise ShapeMismatch(f"translation must be a 3-vector, got {t.shape}")
-        if q.shape != (4,):
-            raise ShapeMismatch(f"quaternion must be a 4-vector, got {q.shape}")
+        if q.shape != t.shape[:-1] + (4,):
+            raise ShapeMismatch(f"quaternion must be a 4-vector per translation, got {q.shape}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "q", q)
 
@@ -66,19 +68,30 @@ def identity_pose(unit: str = "mm") -> Pose:
     return Pose(np.eye(3), np.zeros(3), unit)
 
 
+def vec_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, equal bit for bit to the 1-D np.linalg.norm."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _matrices_last(M: np.ndarray) -> np.ndarray:
+    """(3, 3, ...) built from components (unpacked with ``.T``) -> contiguous (..., 3, 3)."""
+    return np.ascontiguousarray(np.swapaxes(M.T, -1, -2))
+
+
 def quat_normalize(q) -> np.ndarray:
     """Scale to unit norm and resolve the double cover (q0 >= 0).
 
-    Raises ZeroQuaternion when the norm is below 1e-12.
+    Raises ZeroQuaternion when a norm is below 1e-12; its ``index`` locates
+    the first such quaternion in the leading axes.
     """
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n <= 1e-12:
-        raise ZeroQuaternion(f"quaternion norm {n} too small to normalize")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    return q
+    n = vec_norm(q)
+    small = n <= 1e-12
+    if small.any():
+        index = tuple(int(i) for i in np.argwhere(small)[0])
+        raise ZeroQuaternion(f"quaternion norm {n[index]} too small to normalize", index)
+    q = q / n[..., None]
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_log(q) -> np.ndarray:
@@ -98,14 +111,12 @@ def quat_log(q) -> np.ndarray:
 
 def quat_to_rotmat(q) -> np.ndarray:
     """Unit quaternion to rotation matrix (Hamilton convention)."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return _matrices_last(np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]))
 
 
 def rotmat_to_quat(R) -> np.ndarray:
@@ -116,54 +127,49 @@ def rotmat_to_quat(R) -> np.ndarray:
     """
     R = np.asarray(R, dtype=float)
     check_rotation(R, tol=1e-6)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = 1.0 + tr
-        q = np.array([s, R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = 1.0 + R[0, 0] - R[1, 1] - R[2, 2]
-        q = np.array([R[2, 1] - R[1, 2], s, R[0, 1] + R[1, 0], R[0, 2] + R[2, 0]])
-    elif R[1, 1] >= R[2, 2]:
-        s = 1.0 - R[0, 0] + R[1, 1] - R[2, 2]
-        q = np.array([R[0, 2] - R[2, 0], R[0, 1] + R[1, 0], s, R[1, 2] + R[2, 1]])
-    else:
-        s = 1.0 - R[0, 0] - R[1, 1] + R[2, 2]
-        q = np.array([R[1, 0] - R[0, 1], R[0, 2] + R[2, 0], R[1, 2] + R[2, 1], s])
-    q *= 0.5 / np.sqrt(s)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.swapaxes(R, -1, -2).T
+    tr = r00 + r11 + r22
+    u, v, w, a, b, c = r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21
+    # Row j: the unnormalized quaternion of branch j, whose entry j is that branch's s.
+    table = np.array([[1.0 + tr, u, v, w],
+                      [u, 1.0 + r00 - r11 - r22, a, b],
+                      [v, a, 1.0 - r00 + r11 - r22, c],
+                      [w, b, c, 1.0 - r00 - r11 + r22]])
+    branch = np.where(tr > 0.0, 0, np.where((r00 >= r11) & (r00 >= r22), 1, np.where(r11 >= r22, 2, 3)))
+    q = np.choose(branch, table)
+    q *= 0.5 / np.sqrt(np.choose(branch, q))
+    return np.ascontiguousarray(np.where(q[0] < 0.0, -q, q).T)
 
 
-def rotmat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Rodrigues formula; ``axis`` need not be normalized."""
+def rotmat_from_axis_angle(axis, angle) -> np.ndarray:
+    """Rodrigues formula; ``axis`` need not be normalized.  An axis of norm
+    at most 1e-12 gives the identity."""
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n <= 1e-12:
-        return np.eye(3)
-    x, y, z = axis / n
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    n = vec_norm(axis)
+    small = n <= 1e-12
+    x, y, z = (axis / np.where(small, 1.0, n)[..., None]).T
+    o = np.zeros(np.shape(x))
+    K = _matrices_last(np.array([[o, -z, y], [z, o, -x], [-y, x, o]]))
+    angle = np.asarray(angle, dtype=float)[..., None, None]
+    M = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return np.where(small[..., None, None], np.eye(3), M)
 
 
-def euler_from_rotmat(R) -> tuple[float, float, float]:
+def euler_from_rotmat(R) -> tuple:
     """Extrinsic X-Y-Z angles (rx, ry, rz) with R = Rz @ Ry @ Rx.
 
     At gimbal lock (|R[2,0]| within 1e-9 of 1) the decomposition is not
     unique; rz is fixed to 0 and rx absorbs the remaining freedom.
     """
     R = np.asarray(R, dtype=float)
-    sy = -R[2, 0]
-    cy = np.hypot(R[2, 1], R[2, 2])
-    ry = np.arctan2(sy, cy)
-    if abs(R[2, 0]) >= 1.0 - 1e-9:
-        s = 1.0 if sy > 0 else -1.0
-        rx = np.arctan2(s * R[0, 1], s * R[0, 2])
-        rz = 0.0
-    else:
-        rx = np.arctan2(R[2, 1], R[2, 2])
-        rz = np.arctan2(R[1, 0], R[0, 0])
-    return float(rx), float(ry), float(rz)
+    sy = -R[..., 2, 0]
+    ry = np.arctan2(sy, np.hypot(R[..., 2, 1], R[..., 2, 2]))
+    lock = np.abs(R[..., 2, 0]) >= 1.0 - 1e-9
+    s = np.where(sy > 0, 1.0, -1.0)
+    rx = np.where(lock, np.arctan2(s * R[..., 0, 1], s * R[..., 0, 2]),
+                  np.arctan2(R[..., 2, 1], R[..., 2, 2]))
+    rz = np.where(lock, 0.0, np.arctan2(R[..., 1, 0], R[..., 0, 0]))
+    return rx[()], ry[()], rz[()]
 
 
 def rotmat_from_euler(rx: float, ry: float, rz: float) -> np.ndarray:
@@ -174,65 +180,50 @@ def rotmat_from_euler(rx: float, ry: float, rz: float) -> np.ndarray:
     return Rz @ Ry @ Rx
 
 
+def _ortho_defect(R: np.ndarray) -> np.ndarray:
+    return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+
+
 def check_rotation(R, tol: float = 1e-6) -> None:
-    """Raise NotARotation unless R'R = I and det(R) = 1 within tol."""
+    """Raise NotARotation unless R'R = I and det(R) = 1 within tol, for every R."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise NotARotation(f"expected 3x3 matrix, got {R.shape}")
-    defect = np.max(np.abs(R.T @ R - np.eye(3)))
+    defect = np.max(_ortho_defect(R), initial=0.0)
     if not np.isfinite(defect) or defect > tol:
         raise NotARotation(f"R'R deviates from identity by {defect}")
-    if abs(np.linalg.det(R) - 1.0) > max(tol, 1e-9):
+    if np.any(np.abs(np.linalg.det(R) - 1.0) > max(tol, 1e-9)):
         raise NotARotation("determinant differs from +1")
 
 
 def orthonormalize(R) -> np.ndarray:
     """Nearest rotation in the Frobenius sense (polar factor via SVD)."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
-    if np.linalg.det(U @ Vt) < 0.0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
+    U[..., -1] *= np.where(np.linalg.det(U @ Vt) < 0.0, -1.0, 1.0)[..., None]
     return U @ Vt
-
-
-def _ortho_defect(R: np.ndarray) -> float:
-    return float(np.max(np.abs(R.T @ R - np.eye(3))))
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:
     """a then b applied in b's frame: R = Ra Rb, t = Ra tb + ta.
 
-    Re-orthonormalizes the rotation when accumulated drift exceeds 1e-9
-    so long chains stay valid.
+    Re-orthonormalizes each rotation whose drift exceeds ORTHO_TOL so long
+    chains stay valid.
     """
     R = a.R @ b.R
-    t = a.R @ b.t + a.t
-    if _ortho_defect(R) > ORTHO_TOL:
-        R = orthonormalize(R)
+    t = np.matvec(a.R, b.t) + a.t
+    drifted = _ortho_defect(R) > ORTHO_TOL
+    if drifted.any():
+        R[drifted] = orthonormalize(R[drifted])
     return Pose(R, t, a.unit)
 
 
 def pose_inverse(p: Pose) -> Pose:
-    return Pose(p.R.T, -(p.R.T @ p.t), p.unit)
+    return Pose(np.swapaxes(p.R, -1, -2), -np.vecmat(p.t, p.R), p.unit)
 
 
 def relative_pose(p_prev: Pose, p_cur: Pose) -> Pose:
     """Transform taking p_prev's frame to p_cur's: inverse(p_prev) * p_cur."""
     return pose_compose(pose_inverse(p_prev), p_cur)
-
-
-def pose_to_matrix(p: Pose) -> np.ndarray:
-    M = np.eye(4)
-    M[:3, :3] = p.R
-    M[:3, 3] = p.t
-    return M
-
-
-def pose_from_matrix(M, unit: str = "mm") -> Pose:
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise ShapeMismatch(f"expected 4x4 homogeneous matrix, got {M.shape}")
-    return Pose(M[:3, :3], M[:3, 3], unit)
 
 
 def pose_to_vec(p: Pose) -> PoseVec:

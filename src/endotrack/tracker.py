@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch, UnitMismatch
-from .se3 import Pose, orthonormalize, pose_compose, relative_pose, rotmat_from_axis_angle
+from .errors import LengthMismatch, ShapeMismatch
+from .se3 import (Pose, identity_pose, orthonormalize, pose_compose, relative_pose,
+                  rotmat_from_axis_angle, vec_norm)
 
 # Unconditional re-orthonormalization cadence for long chains.
 RENORM_EVERY = 64
@@ -22,35 +23,43 @@ DEFAULT_STRIDE = 4
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Frame-indexed absolute poses with a fixed stride and length unit."""
+    """Absolute poses as arrays: ``R`` (N, 3, 3) and ``t`` (N, 3), with frame
+    ``start + i * k`` at row i and one length unit for all rows."""
 
-    frames: tuple
-    poses: tuple
+    R: np.ndarray
+    t: np.ndarray
     k: int = DEFAULT_STRIDE
     unit: str = "mm"
+    start: int = 0
 
     def __post_init__(self):
-        frames = tuple(int(f) for f in self.frames)
-        poses = tuple(self.poses)
-        if len(frames) != len(poses) or not poses:
-            raise LengthMismatch(f"{len(frames)} frame indices vs {len(poses)} poses")
+        R = np.ascontiguousarray(self.R, dtype=float)
+        t = np.ascontiguousarray(self.t, dtype=float)
+        if R.shape[1:] != (3, 3) or t.shape[1:] != (3,):
+            raise ShapeMismatch(f"need R (N, 3, 3) and t (N, 3), got {R.shape} and {t.shape}")
+        if len(R) != len(t):
+            raise LengthMismatch(f"{len(R)} rotations vs {len(t)} translations")
         if self.k < 1:
             raise ShapeMismatch(f"stride k must be >= 1, got {self.k}")
-        for a, b in zip(frames, frames[1:]):
-            if b - a != self.k:
-                raise ShapeMismatch(f"frame indices must increase by k={self.k}: {a} -> {b}")
-        for p in poses:
-            if p.unit != self.unit:
-                raise UnitMismatch(f"pose unit {p.unit!r} != trajectory unit {self.unit!r}")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "t", t)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.t)
 
-    def relatives(self) -> list[Pose]:
-        """Exact relative poses between consecutive frames."""
-        return [relative_pose(a, b) for a, b in zip(self.poses, self.poses[1:])]
+    @property
+    def frames(self) -> tuple:
+        return tuple(range(self.start, self.start + len(self) * self.k, self.k))
+
+    @property
+    def poses(self) -> tuple:
+        return tuple(Pose(R, t, self.unit) for R, t in zip(self.R, self.t))
+
+    def relatives(self) -> Trajectory:
+        """Exact relative poses between consecutive frames, indexed by the later frame."""
+        rel = relative_pose(Pose(self.R[:-1], self.t[:-1], self.unit),
+                            Pose(self.R[1:], self.t[1:], self.unit))
+        return Trajectory(rel.R, rel.t, self.k, self.unit, self.start + self.k)
 
 
 @dataclass(frozen=True)
@@ -63,45 +72,46 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_t < 0 or self.sigma_r < 0:
-            raise ShapeMismatch("noise sigmas must be non-negative")
+        if not all(np.isfinite(s) and s >= 0 for s in (self.sigma_t, self.sigma_r)):
+            raise ShapeMismatch(f"noise sigmas must be finite and non-negative, got "
+                                f"sigma_t={self.sigma_t}, sigma_r={self.sigma_r}")
         bias = np.asarray(self.bias_t, dtype=float)
         if bias.shape != (3,) or not np.all(np.isfinite(bias)):
             raise ShapeMismatch(f"bias_t must be a finite 3-vector, got {bias}")
         object.__setattr__(self, "bias_t", bias)
 
 
-def chain_absolute(p0: Pose, rels, k: int = DEFAULT_STRIDE, start: int = 0) -> Trajectory:
+def chain_absolute(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE, start: int = 0) -> Trajectory:
     """Accumulate relative poses from the initial pose: P_i = P_{i-1} * rel_i.
 
     Rotations are re-orthonormalized every RENORM_EVERY steps (plus the
     tolerance-triggered fix inside pose_compose) so thousand-step chains
     stay valid.
     """
-    poses = [p0]
+    R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
+    R[0], t[0] = p0.R, p0.t
     cur = p0
-    for i, rel in enumerate(rels, start=1):
+    for i, rel in enumerate(rels.poses, start=1):
         cur = pose_compose(cur, rel)
         if i % RENORM_EVERY == 0:
             cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
-        poses.append(cur)
-    frames = tuple(start + i * k for i in range(len(poses)))
-    return Trajectory(frames, tuple(poses), k=k, unit=p0.unit)
+        R[i], t[i] = cur.R, cur.t
+    return Trajectory(R, t, k, p0.unit, start)
 
 
-def chain_rebased(gt: Trajectory, rels) -> Trajectory:
+def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
     """Compose each estimated relative onto the ground-truth previous pose.
 
     Per-step errors do not accumulate; the first pose is the ground truth
     initial pose.  Raises LengthMismatch unless len(rels) == len(gt) - 1.
     """
-    rels = list(rels)
     if len(rels) != len(gt) - 1:
         raise LengthMismatch(f"{len(rels)} relatives for a {len(gt)}-pose trajectory")
-    poses = [gt.poses[0]]
-    for prev_gt, rel in zip(gt.poses, rels):
-        poses.append(pose_compose(prev_gt, rel))
-    return Trajectory(gt.frames, tuple(poses), k=gt.k, unit=gt.unit)
+    R, t = gt.R.copy(), gt.t.copy()
+    for i, (prev_gt, rel) in enumerate(zip(gt.poses, rels.poses), start=1):
+        step = pose_compose(prev_gt, rel)
+        R[i], t[i] = step.R, step.t
+    return Trajectory(R, t, gt.k, gt.unit, gt.start)
 
 
 def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
@@ -110,45 +120,48 @@ def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
 
     Per-step translation directions follow momentum-filtered noise and step
     lengths are drawn from smoothness * U[0.25, 1), so every step length is
-    bounded by ``smoothness``.  Small smoothed rotations accompany each
-    step.  Deterministic per seed.
+    bounded by ``smoothness``, which must be finite and positive.  Small
+    smoothed rotations accompany each step.  Deterministic per seed.
     """
     if n < 2:
         raise LengthMismatch(f"need at least 2 poses, got n={n}")
+    if not (np.isfinite(smoothness) and smoothness > 0):
+        raise ShapeMismatch(f"smoothness must be finite and positive, got {smoothness}")
     rng = np.random.default_rng(seed)
     heading = rng.standard_normal(3)
     axis = rng.standard_normal(3)
-    poses = [Pose(np.eye(3), np.zeros(3), unit)]
-    for _ in range(n - 1):
+    cur = identity_pose(unit)
+    R, t = np.empty((n, 3, 3)), np.empty((n, 3))
+    R[0], t[0] = cur.R, cur.t
+    for i in range(1, n):
         heading = 0.8 * heading + 0.2 * rng.standard_normal(3)
         direction = heading / max(np.linalg.norm(heading), 1e-12)
         step_t = smoothness * rng.uniform(0.25, 1.0) * direction
         axis = 0.8 * axis + 0.2 * rng.standard_normal(3)
         angle = abs(rng.normal(0.0, 0.03))
-        step = Pose(rotmat_from_axis_angle(axis, angle), step_t, unit)
-        poses.append(pose_compose(poses[-1], step))
-    frames = tuple(i * k for i in range(n))
-    return Trajectory(frames, tuple(poses), k=k, unit=unit)
+        cur = pose_compose(cur, Pose(rotmat_from_axis_angle(axis, angle), step_t, unit))
+        R[i], t[i] = cur.R, cur.t
+    return Trajectory(R, t, k, unit)
 
 
-def perturb_relatives(gt: Trajectory, spec: NoiseSpec) -> list[Pose]:
+def perturb_relatives(gt: Trajectory, spec: NoiseSpec) -> Trajectory:
     """Exact relatives of gt, each corrupted per the noise spec.
 
     Translation gets bias_t plus isotropic Gaussian noise; the rotation is
     composed on the right with a random-axis rotation of angle
     |N(0, sigma_r^2)|.  Zero sigmas and bias return the exact relatives.
+    Each step draws its translation noise, then its axis, then (when
+    sigma_r > 0) its angle from one stream seeded by ``spec.seed``.
     """
+    rels = gt.relatives()
     rng = np.random.default_rng(spec.seed)
-    noisy = []
-    for rel in gt.relatives():
-        t = rel.t + spec.bias_t + spec.sigma_t * rng.standard_normal(3)
-        axis = rng.standard_normal(3)
-        angle = abs(rng.normal(0.0, spec.sigma_r)) if spec.sigma_r > 0 else 0.0
-        R = rel.R @ rotmat_from_axis_angle(axis, angle)
-        noisy.append(Pose(R, t, rel.unit))
-    return noisy
+    z = rng.standard_normal((len(rels), 7 if spec.sigma_r > 0 else 6))
+    t = rels.t + spec.bias_t + spec.sigma_t * z[:, :3]
+    angle = np.abs(spec.sigma_r * z[:, 6]) if spec.sigma_r > 0 else 0.0
+    R = rels.R @ rotmat_from_axis_angle(z[:, 3:6], angle)
+    return Trajectory(R, t, rels.k, rels.unit, rels.start)
 
 
 def mean_step_length(traj: Trajectory) -> float:
-    steps = [np.linalg.norm(rel.t) for rel in traj.relatives()]
-    return float(np.mean(steps)) if steps else 0.0
+    steps = vec_norm(traj.relatives().t)
+    return float(np.mean(steps)) if steps.size else 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endotrack import Pose, quat_to_rotmat
+from endotrack import Pose, Trajectory, quat_to_rotmat
 
 
 def random_unit_quat(rng) -> np.ndarray:
@@ -14,6 +14,13 @@ def random_unit_quat(rng) -> np.ndarray:
 
 def random_pose(rng, t_scale: float = 1.0, unit: str = "mm") -> Pose:
     return Pose(quat_to_rotmat(random_unit_quat(rng)), t_scale * rng.standard_normal(3), unit)
+
+
+def trajectory_of(poses, k: int = 4, start: int = 0) -> Trajectory:
+    """Trajectory holding the given single poses as its rows (at least one)."""
+    poses = list(poses)
+    return Trajectory(np.array([p.R for p in poses]), np.array([p.t for p in poses]),
+                      k=k, unit=poses[0].unit, start=start)
 
 
 @pytest.fixture

@@ -45,6 +45,34 @@ class TestSynth:
         assert err.count("\n") == 1 and "bias" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--seed", "-1"),
+        ("synth", "--sigma-t", "nan"),
+        ("synth", "--sigma-t", "-0.5"),
+        ("synth", "--sigma-r", "inf"),
+        ("synth", "--smoothness", "nan"),
+        ("synth", "--smoothness", "-1"),
+        ("synth", "--smoothness", "0"),
+        ("gradcheck", "--seed", "-1"),
+    ])
+    def test_bad_seed_or_noise_exit_1(self, tmp_path, capsys, argv):
+        outs = ("--out-gt", str(tmp_path / "gt.txt"), "--out-rels", str(tmp_path / "rels.txt"))
+        code, _, err = run(capsys, *argv, *(outs if argv[0] == "synth" else ()))
+        assert code == 1
+        assert err.count("\n") == 1 and argv[1].lstrip("-").replace("-", "_") in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "bench", "gradcheck"])
+    def test_negative_config_seed_exit_1(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        extra = {"synth": ("--out-gt", str(tmp_path / "gt.txt"), "--out-rels", str(tmp_path / "r.txt")),
+                 "bench": ("--size", "16x16", "--repeat", "1")}.get(command, ())
+        code, _, err = run(capsys, command, "--config", str(cfg), *extra)
+        assert code == 1
+        assert err.count("\n") == 1 and "seed" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_minimal_n(self, tmp_path, capsys):
         gt, rels = synth_files(tmp_path, capsys, n=2)
         assert len(et.read_trajectory(gt)) == 2
@@ -94,6 +122,21 @@ class TestTrack:
             "--out", str(tmp_path / "est.txt"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("mode", ["chained", "rebased"])
+    def test_misaligned_relatives_exit_4(self, tmp_path, capsys, mode):
+        gt, rels = synth_files(tmp_path, capsys)
+        shifted = tmp_path / "shifted.txt"
+        header, *rows = rels.read_text().splitlines()
+        shifted.write_text("\n".join([header] + [
+            f"{int(index) + 1000} {rest}" for index, rest in (row.split(" ", 1) for row in rows)
+        ]) + "\n")
+        est = tmp_path / "est.txt"
+        code, _, err = run(capsys, "track", str(shifted), "--base", str(gt), "--mode", mode,
+                           "--out", str(est))
+        assert code == 4
+        assert err.count("\n") == 1 and "1004" in err and "frame 4" in err
+        assert not est.exists()
 
     def test_parse_error_names_line_17(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -164,6 +207,16 @@ class TestEval:
         b.write_text("unit=mm k=2\n0 0 0 0 0 0 0 1\n")
         code, _, _ = run(capsys, "eval", str(a), str(b))
         assert code == 4
+
+    @pytest.mark.parametrize("row", ["4 0 0 0 0 1e308 0 1", "4 -1e308 0 0 0 0 0 1"])
+    def test_overflowing_value_exit_3(self, tmp_path, capsys, row):
+        a = tmp_path / "a.txt"
+        a.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n4 0 0 0 0 0 0 1\n")
+        b = tmp_path / "b.txt"
+        b.write_text(f"unit=mm k=4\n0 0 0 0 0 0 0 1\n{row}\n")
+        code, out, err = run(capsys, "eval", str(a), str(b))
+        assert code == 3
+        assert out == "" and err.count("\n") == 1 and "line 3" in err
 
     def test_report_file(self, tmp_path, capsys):
         gt, _ = synth_files(tmp_path, capsys)

@@ -32,6 +32,12 @@ class TestTrajectoryRoundTrip:
             assert np.array_equal(a.t, b.t)
             assert np.max(np.abs(a.R - b.R)) <= 1e-12
 
+    def test_start_frame_kept(self):
+        traj = parse_trajectory("unit=cm k=3\n12 0 0 0 0 0 0 1\n15 1 0 0 0 0 0 1\n")
+        assert traj.start == 12 and traj.frames == (12, 15) and traj.k == 3
+        assert format_trajectory(traj).splitlines()[1:] == ["12 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
+                                                           "15 1.0 0.0 0.0 0.0 0.0 0.0 1.0"]
+
     def test_second_round_trip_stable(self):
         # Parsing re-normalizes quaternions, so bytes may differ in the last
         # ulp after one round trip; the values must stay pinned within 1e-14.
@@ -89,6 +95,27 @@ class TestParseErrors:
     def test_nan_is_invalid_pose(self):
         with pytest.raises(NotARotation, match="line 2"):
             parse_trajectory("unit=mm k=4\n0 nan 0 0 0 0 0 1\n")
+
+    def test_zero_quaternion_in_later_row_names_its_line(self):
+        text = "unit=mm k=4\n0 0 0 0 0 0 0 1\n# gap\n4 0 0 0 0 0 0 0\n8 0 0 0 0 0 0 0\n"
+        with pytest.raises(ZeroQuaternion, match="line 4"):
+            parse_trajectory(text)
+
+    @pytest.mark.parametrize("value", ["1e151", "-1e308", "1e308", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("column", [1, 3, 6])
+    def test_values_beyond_bound_are_invalid(self, value, column):
+        # A quaternion entry of 1e308 used to overflow its norm to inf and
+        # read as the identity; a translation of -1e308 gave ate = inf.
+        fields = ["4", "0", "0", "0", "0", "0", "0", "1"]
+        fields[column] = value
+        text = "unit=mm k=4\n0 0 0 0 0 0 0 1\n" + " ".join(fields) + "\n"
+        with pytest.raises(NotARotation, match="line 3"):
+            parse_trajectory(text)
+
+    def test_values_at_bound_accepted(self):
+        traj = parse_trajectory("unit=mm k=4\n0 1e150 -1e150 0 0 0 1e150 1\n")
+        assert traj.t[0, 0] == 1e150
+        assert np.allclose(traj.R[0], et.rotmat_from_axis_angle([0, 0, 1], np.pi), atol=1e-12)
 
 
 class TestConfig:

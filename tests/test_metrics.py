@@ -11,7 +11,7 @@ from scipy.spatial.transform import Rotation
 import endotrack as et
 from endotrack.errors import AlignmentError, UnitMismatch
 
-from conftest import random_pose
+from conftest import random_pose, trajectory_of
 
 
 def pose_matrix(p):
@@ -116,6 +116,22 @@ class TestOracleEquivalence:
                 assert abs(ours - ref) <= 1e-9, f"{name}: {ours} vs {ref}"
 
 
+class TestStacks:
+    def test_stack_equals_per_pose_calls(self, rng):
+        gt = trajectory_of([random_pose(rng) for _ in range(40)])
+        est = trajectory_of([random_pose(rng) for _ in range(40)])
+        for name, fn in METRICS.items():
+            stacked = fn(gt, est)
+            assert stacked.shape == (40,), name
+            one = np.array([fn(g, e) for g, e in zip(gt.poses, est.poses)])
+            assert np.array_equal(stacked, one), name
+
+    def test_empty_stacks(self):
+        empty = et.synth_trajectory(2, seed=0).relatives().relatives()
+        for name, fn in METRICS.items():
+            assert fn(empty, empty).shape == (0,), name
+
+
 class TestSymmetries:
     def test_swap_symmetry(self, rng):
         for _ in range(100):
@@ -154,7 +170,7 @@ class TestEvaluate:
 
     def test_single_frame_trajectory(self, rng):
         p = random_pose(rng)
-        traj = et.Trajectory((0,), (p,), k=4)
+        traj = trajectory_of([p])
         rep = et.evaluate(traj, traj)
         assert rep.rte.size == 0 and rep.rot.size == 0
         assert rep.summary()["rte"] == (0.0, 0.0)
@@ -179,7 +195,7 @@ class TestEvaluate:
             assert rep.ate[i] == pytest.approx(oracle_ate(g, e), abs=1e-9)
             assert rep.ce[i] == pytest.approx(oracle_ce(g, e), abs=1e-9)
             assert rep.de[i] == pytest.approx(oracle_de(g, e), abs=1e-9)
-        for i, (g, e) in enumerate(zip(gt.relatives(), est.relatives())):
+        for i, (g, e) in enumerate(zip(gt.relatives().poses, est.relatives().poses)):
             assert rep.rte[i] == pytest.approx(oracle_rte(g, e), abs=1e-9)
             assert rep.rot[i] == pytest.approx(oracle_rot(g, e), abs=1e-9)
 

@@ -242,3 +242,90 @@ class TestOrthonormalize:
         assert np.max(np.abs(fixed.T @ fixed - np.eye(3))) < 1e-12
         assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(fixed - R)) < 1e-5
+
+
+def random_rotations(rng, n):
+    return np.stack([et.quat_to_rotmat(et.quat_normalize(random_unit_quat(rng))) for _ in range(n)])
+
+
+class TestBroadcasting:
+    """A stack gives, row by row, exactly what single-pose calls give."""
+
+    def test_unary_functions(self, rng):
+        n = 60
+        q = rng.standard_normal((n, 4))
+        # Near-half-turns reach every branch of rotmat_to_quat.
+        R = np.concatenate([random_rotations(rng, n),
+                            np.stack([et.rotmat_from_axis_angle(a, 3.1)
+                                      for a in rng.standard_normal((n, 3))])])
+        axis, angle = rng.standard_normal((n, 3)), rng.uniform(-3, 3, n)
+        axis[0] = 0.0
+        cases = {
+            "quat_normalize": (et.quat_normalize, q),
+            "quat_to_rotmat": (et.quat_to_rotmat, q),
+            "rotmat_to_quat": (et.rotmat_to_quat, R),
+            "orthonormalize": (et.orthonormalize, R + 1e-6 * rng.standard_normal(R.shape)),
+            "euler_from_rotmat": (lambda m: np.stack(et.euler_from_rotmat(m), axis=-1), R),
+        }
+        for name, (fn, x) in cases.items():
+            stacked = fn(x)
+            assert stacked.shape[0] == len(x), name
+            assert np.array_equal(stacked, np.array([fn(row) for row in x])), name
+        rodrigues = et.rotmat_from_axis_angle(axis, angle)
+        assert np.array_equal(rodrigues, np.array([et.rotmat_from_axis_angle(a, g)
+                                                   for a, g in zip(axis, angle)]))
+        assert np.array_equal(rodrigues[0], np.eye(3))
+
+    def test_leading_axes_kept(self, rng):
+        q = rng.standard_normal((2, 5, 4))
+        R = et.quat_to_rotmat(et.quat_normalize(q))
+        assert R.shape == (2, 5, 3, 3)
+        assert et.rotmat_to_quat(R).shape == (2, 5, 4)
+        assert np.array_equal(et.quat_normalize(q)[1, 3], et.quat_normalize(q[1, 3]))
+
+    def test_pose_functions(self, rng):
+        a = [random_pose(rng) for _ in range(30)]
+        b = [random_pose(rng) for _ in range(30)]
+        A = et.Pose(np.stack([p.R for p in a]), np.stack([p.t for p in a]))
+        B = et.Pose(np.stack([p.R for p in b]), np.stack([p.t for p in b]))
+        for fn, args in ((et.pose_compose, (A, B)), (et.relative_pose, (A, B)), (et.pose_inverse, (A,))):
+            out = fn(*args)
+            one = [fn(*(et.Pose(x.R[i], x.t[i]) for x in args)) for i in range(30)]
+            assert np.array_equal(out.R, np.array([p.R for p in one])), fn.__name__
+            assert np.array_equal(out.t, np.array([p.t for p in one])), fn.__name__
+        vec = et.pose_to_vec(A)
+        assert vec.t.shape == (30, 3) and vec.q.shape == (30, 4)
+        back = et.pose_from_vec(vec)
+        assert np.array_equal(back.R, np.array([et.pose_from_vec(et.pose_to_vec(p)).R for p in a]))
+
+    def test_compose_repairs_only_drifted_rows(self, rng):
+        R = random_rotations(rng, 4)
+        drifted = R.copy()
+        drifted[2] += 1e-6
+        ident = et.Pose(np.broadcast_to(np.eye(3), R.shape), np.zeros((4, 3)))
+        out = et.pose_compose(et.Pose(drifted, np.zeros((4, 3))), ident)
+        for i in (0, 1, 3):
+            assert np.array_equal(out.R[i], et.pose_compose(et.Pose(R[i], np.zeros(3)),
+                                                            et.identity_pose()).R)
+        assert np.array_equal(out.R[2], et.orthonormalize(drifted[2]))
+
+    def test_zero_quaternion_index(self):
+        q = np.ones((3, 4))
+        q[1] = 0.0
+        with pytest.raises(ZeroQuaternion) as info:
+            et.quat_normalize(q)
+        assert info.value.index == (1,)
+
+    def test_check_rotation_rejects_any_bad_row(self, rng):
+        R = random_rotations(rng, 5)
+        et.check_rotation(R)
+        R[3] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(NotARotation):
+            et.check_rotation(R)
+        et.check_rotation(np.zeros((0, 3, 3)))
+
+    def test_mismatched_leading_axes(self):
+        with pytest.raises(ShapeMismatch):
+            et.Pose(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ShapeMismatch):
+            et.PoseVec(np.zeros((2, 3)), np.zeros(4))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack.errors import LengthMismatch, ShapeMismatch, UnitMismatch
+from endotrack.errors import LengthMismatch, ShapeMismatch
 
-from conftest import random_pose
+from conftest import random_pose, trajectory_of
 
 
 def ate_series(gt, est):
@@ -14,25 +14,41 @@ def ate_series(gt, est):
 
 
 class TestTrajectoryType:
-    def test_stride_enforced(self, rng):
-        poses = tuple(random_pose(rng) for _ in range(3))
-        with pytest.raises(ShapeMismatch):
-            et.Trajectory((0, 4, 9), poses, k=4)
-
-    def test_unit_consistency(self, rng):
-        poses = (random_pose(rng, unit="mm"), random_pose(rng, unit="cm"))
-        with pytest.raises(UnitMismatch):
-            et.Trajectory((0, 4), poses, k=4, unit="mm")
-
     def test_length_mismatch(self, rng):
         with pytest.raises(LengthMismatch):
-            et.Trajectory((0, 4), (random_pose(rng),), k=4)
+            et.Trajectory(np.stack([np.eye(3)] * 2), np.zeros((1, 3)), k=4)
+
+    def test_shapes_and_stride_checked(self):
+        with pytest.raises(ShapeMismatch):
+            et.Trajectory(np.eye(3), np.zeros(3))
+        with pytest.raises(ShapeMismatch):
+            et.Trajectory(np.zeros((2, 3, 3)), np.zeros((2, 4)))
+        with pytest.raises(ShapeMismatch):
+            et.Trajectory(np.zeros((2, 3, 3)), np.zeros((2, 3)), k=0)
+
+    def test_stores_contiguous_float64(self, rng):
+        R = np.stack([random_pose(rng).R for _ in range(4)]).transpose(0, 2, 1)
+        traj = et.Trajectory(R, np.zeros((3, 4), dtype=np.float32).T, k=2, start=6)
+        for a in (traj.R, traj.t):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert traj.frames == (6, 8, 10, 12)
+        assert np.array_equal(traj.poses[2].R, R[2]) and traj.poses[2].unit == "mm"
+
+    def test_relatives_indexed_by_later_frame(self, rng):
+        poses = [random_pose(rng) for _ in range(3)]
+        rels = trajectory_of(poses, k=2, start=10).relatives()
+        assert rels.frames == (12, 14) and rels.k == 2
+        for i, rel in enumerate(rels.poses):
+            one = et.relative_pose(poses[i], poses[i + 1])
+            assert np.array_equal(rel.R, one.R) and np.array_equal(rel.t, one.t)
+        single = trajectory_of(poses[:1], start=10).relatives()
+        assert len(single) == 0 and single.start == 14 and single.frames == ()
 
 
 class TestChainAbsolute:
     def test_identity_relatives(self, rng):
         p0 = random_pose(rng)
-        traj = et.chain_absolute(p0, [et.identity_pose()] * 5)
+        traj = et.chain_absolute(p0, trajectory_of([et.identity_pose()] * 5))
         assert len(traj) == 6
         for p in traj.poses:
             assert np.allclose(p.R, p0.R, atol=1e-15)
@@ -40,7 +56,7 @@ class TestChainAbsolute:
 
     def test_single_relative(self, rng):
         p0, rel = random_pose(rng), random_pose(rng)
-        traj = et.chain_absolute(p0, [rel])
+        traj = et.chain_absolute(p0, trajectory_of([rel]))
         expect = et.pose_compose(p0, rel)
         assert np.allclose(traj.poses[1].R, expect.R, atol=1e-15)
         assert np.allclose(traj.poses[1].t, expect.t, atol=1e-15)
@@ -55,7 +71,7 @@ class TestChainAbsolute:
 
     def test_frames_and_unit(self, rng):
         p0 = random_pose(rng, unit="cm")
-        traj = et.chain_absolute(p0, [random_pose(rng, unit="cm")] * 3, k=2, start=10)
+        traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3), k=2, start=10)
         assert traj.frames == (10, 12, 14, 16)
         assert traj.unit == "cm"
 
@@ -69,7 +85,7 @@ class TestChainRebased:
     def test_length_mismatch(self):
         gt = et.synth_trajectory(5, seed=0)
         with pytest.raises(LengthMismatch):
-            et.chain_rebased(gt, gt.relatives()[:-1])
+            et.chain_rebased(gt, trajectory_of(gt.relatives().poses[:-1]))
 
     def test_single_step_equals_chained(self, rng):
         gt = et.synth_trajectory(2, seed=8)
@@ -106,7 +122,7 @@ class TestSynth:
     def test_step_lengths_bounded_by_smoothness(self):
         for smoothness in (0.5, 2.0):
             traj = et.synth_trajectory(200, smoothness=smoothness, seed=9)
-            steps = [np.linalg.norm(r.t) for r in traj.relatives()]
+            steps = [np.linalg.norm(r.t) for r in traj.relatives().poses]
             assert max(steps) <= smoothness + 1e-9
             assert min(steps) > 0.0
 
@@ -126,24 +142,23 @@ class TestPerturb:
         gt = et.synth_trajectory(30, seed=2)
         exact = gt.relatives()
         noisy = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.0, sigma_r=0.0, seed=77))
-        for a, b in zip(exact, noisy):
-            assert np.array_equal(a.R, b.R)
-            assert np.array_equal(a.t, b.t)
+        assert noisy.frames == exact.frames
+        assert np.array_equal(exact.R, noisy.R)
+        assert np.array_equal(exact.t, noisy.t)
 
     def test_deterministic(self):
         gt = et.synth_trajectory(30, seed=2)
         spec = et.NoiseSpec(sigma_t=0.1, sigma_r=0.01, seed=5)
         a = et.perturb_relatives(gt, spec)
         b = et.perturb_relatives(gt, spec)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.R, q.R) and np.array_equal(p.t, q.t)
+        assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
 
     def test_rte_magnitude_matches_chi3_mean(self):
         # |N(0, sigma^2 I_3)| has mean 2*sqrt(2/pi)*sigma.
         gt = et.synth_trajectory(4001, seed=21)
         sigma = 0.1
         noisy = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=sigma, seed=22))
-        rtes = [et.rte(g, n) for g, n in zip(gt.relatives(), noisy)]
+        rtes = et.rte(gt.relatives(), noisy)
         expected = 2.0 * math.sqrt(2.0 / math.pi) * sigma
         assert np.mean(rtes) == pytest.approx(expected, rel=0.05)
 
@@ -151,12 +166,30 @@ class TestPerturb:
         gt = et.synth_trajectory(50, seed=2)
         bias = np.array([0.3, 0.0, 0.0])
         noisy = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.0, bias_t=bias, seed=1))
-        for a, b in zip(gt.relatives(), noisy):
-            assert np.allclose(b.t - a.t, bias, atol=1e-15)
+        assert np.allclose(noisy.t - gt.relatives().t, bias, atol=1e-15)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ShapeMismatch):
             et.NoiseSpec(sigma_t=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        for name in ("sigma_t", "sigma_r"):
+            with pytest.raises(ShapeMismatch, match=f"{name}={sigma}"):
+                et.NoiseSpec(**{name: sigma})
+
+    def test_matches_per_step_draws(self):
+        # The stream order of one draw per step: t-noise, axis, then the angle.
+        gt = et.synth_trajectory(30, seed=2)
+        spec = et.NoiseSpec(sigma_t=0.1, sigma_r=0.01, bias_t=np.array([0.0, 0.2, 0.0]), seed=5)
+        noisy = et.perturb_relatives(gt, spec)
+        rng = np.random.default_rng(spec.seed)
+        for rel, got in zip(gt.relatives().poses, noisy.poses):
+            t = rel.t + spec.bias_t + spec.sigma_t * rng.standard_normal(3)
+            axis = rng.standard_normal(3)
+            angle = abs(rng.normal(0.0, spec.sigma_r))
+            assert np.array_equal(got.t, t)
+            assert np.array_equal(got.R, rel.R @ et.rotmat_from_axis_angle(axis, angle))
 
 
 class TestRenormalization:
