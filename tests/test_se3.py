@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 
 import endotrack as et
 from endotrack.errors import NotARotation, ShapeMismatch, ZeroQuaternion
+from endotrack.se3 import vec_norm
 
 from conftest import random_pose, random_unit_quat
 
@@ -275,6 +276,11 @@ class TestBroadcasting:
         assert np.array_equal(rodrigues, np.array([et.rotmat_from_axis_angle(a, g)
                                                    for a, g in zip(axis, angle)]))
         assert np.array_equal(rodrigues[0], np.eye(3))
+
+    def test_vec_norm_matches_1d_norm(self, rng):
+        for v in (rng.standard_normal((500, 3)), rng.standard_normal((500, 4)),
+                  rng.standard_normal((500, 7))[:, 3:6]):
+            assert np.array_equal(vec_norm(v), np.array([np.linalg.norm(row) for row in v]))
 
     def test_leading_axes_kept(self, rng):
         q = rng.standard_normal((2, 5, 4))
