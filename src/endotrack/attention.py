@@ -10,7 +10,7 @@ the axis its branch pooled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,37 +67,3 @@ def attention_forward(f0: np.ndarray, params: AttentionParams) -> np.ndarray:
     hw, hc, wc = attention_maps(f0, params)
     return f0 * (hw[:, :, None] + hc[:, None, :] + wc[None]) / 3.0
 
-
-def attention_grad_check(f0: np.ndarray, params: AttentionParams, h: float = 1e-4):
-    """Finite-difference sanity check of d sum(forward) / d(alpha, beta, conv_w).
-
-    Each gradient is computed at steps h and h/10; the pair must agree
-    within 5% (relative, floored at 1e-8) and be finite.  Returns a list of
-    check entries; see checks.GradCheckEntry.
-    """
-    from .checks import GradCheckEntry, two_step_rel_err
-
-    entries = []
-
-    def scalar_obj(field):
-        def f(v):
-            p = replace(params, **{field: float(v)})
-            return float(np.sum(attention_forward(f0, p)))
-        return f
-
-    for field in ("alpha", "beta"):
-        err = two_step_rel_err(scalar_obj(field), getattr(params, field), h)
-        entries.append(GradCheckEntry(f"attention {field}", err, 0.05))
-
-    for branch in range(3):
-        worst = 0.0
-        for j in range(3):
-            def f(v, branch=branch, j=j):
-                w = tuple(x.copy() for x in params.conv_w)
-                w[branch][0, 0, 0, j] = v
-                p = replace(params, conv_w=w)
-                return float(np.sum(attention_forward(f0, p)))
-            err = two_step_rel_err(f, params.conv_w[branch][0, 0, 0, j], h)
-            worst = max(worst, err)
-        entries.append(GradCheckEntry(f"attention conv branch {branch}", worst, 0.05))
-    return entries

@@ -28,6 +28,7 @@ from .errors import (
 from .files import RunConfig, atomic_write_text, read_config, read_trajectory, write_trajectory
 from .metrics import evaluate
 from .pipeline import init_pipeline, pipeline_forward
+from .se3 import Pose
 from .tracker import NoiseSpec, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
 
 
@@ -64,7 +65,7 @@ def cmd_track(args) -> int:
         raise AlignmentError(f"relatives start at frame {rels.start}, but base frame "
                              f"{base.start} is followed by frame {base.start + base.k}")
     if args.mode == "chained":
-        est = chain_absolute(base.poses[0], rels, k=base.k, start=base.start)
+        est = chain_absolute(Pose(base.R[0], base.t[0], base.unit), rels, k=base.k, start=base.start)
     else:
         est = chain_rebased(base, rels)
     write_trajectory(args.out, est)

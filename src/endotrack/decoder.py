@@ -9,7 +9,7 @@ connection back to the block input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,42 +125,3 @@ def decoder_forward(f: np.ndarray, params: DecoderParams) -> PoseVec:
     y = affine(feats, params.head_w, params.head_b)
     return PoseVec(y[:3], quat_normalize(y[3:]))
 
-
-def decoder_grad_check(f: np.ndarray, params: DecoderParams, h: float = 1e-4):
-    """Step-size consistency of d loss(decoder(f)) / d(gamma, head weights).
-
-    The objective is the geometric pose loss against a fixed reference
-    pose, so the gradients exercise the full forward path including the
-    quaternion normalization.
-    """
-    from .checks import GradCheckEntry, two_step_rel_err
-    from .losses import LossWeights, geometric_loss
-    from .se3 import rotmat_to_quat, rotmat_from_axis_angle
-
-    target = PoseVec(
-        np.array([0.1, -0.2, 0.15]),
-        rotmat_to_quat(rotmat_from_axis_angle([1.0, 2.0, -1.0], 0.3)),
-    )
-    weights = LossWeights()
-
-    def loss_with(p: DecoderParams) -> float:
-        return geometric_loss(decoder_forward(f, p), target, weights)
-
-    entries = []
-    for i, block in enumerate(params.blocks):
-        def f_gamma(v, i=i):
-            blocks = list(params.blocks)
-            blocks[i] = replace(blocks[i], gamma=float(v))
-            return loss_with(replace(params, blocks=tuple(blocks)))
-        err = two_step_rel_err(f_gamma, block.gamma, h)
-        entries.append(GradCheckEntry(f"decoder gamma block {i}", err, 0.05))
-
-    worst = 0.0
-    for idx in np.ndindex(params.head_w.shape):
-        def f_w(v, idx=idx):
-            w = params.head_w.copy()
-            w[idx] = v
-            return loss_with(replace(params, head_w=w))
-        worst = max(worst, two_step_rel_err(f_w, params.head_w[idx], h))
-    entries.append(GradCheckEntry("decoder head affine", worst, 0.05))
-    return entries

@@ -68,6 +68,14 @@ def write_trajectory(path, traj: Trajectory) -> None:
     atomic_write_text(path, format_trajectory(traj))
 
 
+def _plain_ascii(line_no: int, text: str) -> str:
+    """``text`` itself if it is plain ASCII without ``_``.  int() and float()
+    also read Unicode digits and ``_`` separators, which no writer emits."""
+    if not text.isascii() or "_" in text:
+        raise TrajectoryParseError(line_no, f"numbers must be plain ASCII without '_': {text!r}")
+    return text
+
+
 def _parse_header(line_no: int, line: str) -> tuple[str, int]:
     kv = {}
     for token in line.split():
@@ -80,7 +88,7 @@ def _parse_header(line_no: int, line: str) -> tuple[str, int]:
     if kv["unit"] not in UNITS:
         raise TrajectoryParseError(line_no, f"unit must be one of {UNITS}, got {kv['unit']!r}")
     try:
-        k = int(kv["k"])
+        k = int(_plain_ascii(line_no, kv["k"]))
     except ValueError:
         raise TrajectoryParseError(line_no, f"stride k must be an integer, got {kv['k']!r}") from None
     if k < 1:
@@ -101,7 +109,7 @@ def parse_trajectory(text: str) -> Trajectory:
         if unit is None:
             unit, k = _parse_header(line_no, line)
             continue
-        tokens = line.split()
+        tokens = _plain_ascii(line_no, line).split()
         if len(tokens) != 8:
             raise TrajectoryParseError(line_no, f"expected 8 fields, got {len(tokens)}")
         try:
@@ -186,6 +194,7 @@ def _parse_value(line_no: int, key: str, text: str, default):
     parse each element as the type of the default's first element."""
     is_tuple = isinstance(default, tuple)
     kind = type(default[0] if is_tuple else default)
+    _plain_ascii(line_no, text)
     try:
         vals = tuple(kind(v) for v in (text.split(",") if is_tuple else [text]))
     except ValueError:

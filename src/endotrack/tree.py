@@ -1,7 +1,7 @@
 """Parameter trees (``PipelineParams``, ``AttentionParams``, ``DecoderParams``):
 frozen dataclasses and tuples nesting arrays and scalars.  One walker visits
-every leaf with its dotted path (``blocks.0.dw_w``), so casts and archives
-never list a class's fields by hand."""
+every leaf with its dotted path (``blocks.0.dw_w``), so casts, archives and
+gradient checks never list a class's fields by hand."""
 
 from __future__ import annotations
 
@@ -39,3 +39,23 @@ def astype(obj, dtype):
     return map_leaves(
         lambda _, leaf: leaf.astype(dtype) if isinstance(leaf, np.ndarray) else leaf, obj
     )
+
+
+def with_element(obj, path: str, index, value):
+    """Copy of ``obj`` with element ``index`` of the leaf at ``path`` set to ``value``.
+
+    Only that leaf is copied; a scalar leaf takes index ``()`` and keeps its
+    type.  A bare array is a leaf at path ``""``.  Raises KeyError for a path
+    that names no leaf, so a mistyped path cannot pass as a zero gradient.
+    """
+    if path not in flatten(obj):
+        raise KeyError(f"no leaf at path {path!r}")
+
+    def put(leaf_path, leaf):
+        if leaf_path != path:
+            return leaf
+        new = np.array(leaf)
+        new[index] = value
+        return new if isinstance(leaf, np.ndarray) else type(leaf)(new.item())
+
+    return map_leaves(put, obj)

@@ -218,6 +218,21 @@ class TestEval:
         assert code == 3
         assert out == "" and err.count("\n") == 1 and "line 3" in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("unit=mm k=4\n0 1_0 \u0661 0 0 0 0 1\n", 2),
+        ("unit=mm k=\u0664\n0 10 1 0 0 0 0 1\n", 1),
+    ])
+    def test_non_ascii_number_exit_2(self, tmp_path, capsys, text, line):
+        # int()/float() read "1_0" as 10 and U+0661 (ARABIC-INDIC DIGIT ONE) as 1,
+        # so unchecked, this file would evaluate as equal to the reference.
+        a = tmp_path / "a.txt"
+        a.write_text("unit=mm k=4\n0 10 1 0 0 0 0 1\n")
+        b = tmp_path / "b.txt"
+        b.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(a), str(b))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and f"line {line}" in err
+
     def test_report_file(self, tmp_path, capsys):
         gt, _ = synth_files(tmp_path, capsys)
         out_path = tmp_path / "report.txt"
@@ -237,6 +252,13 @@ class TestGradcheck:
         code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--inject-nan")
         assert code == 1
         assert "FAIL" in out
+        # One NaN in an attention kernel fails every attention entry and nothing else.
+        rows = out.splitlines()[1:-1]
+        assert len(rows) == 9 and out.splitlines()[-1] == "CHECKS FAILED"
+        failed = [row.split("max_rel_err")[0].strip() for row in rows if row.endswith("  FAIL")]
+        assert failed == ["attention alpha", "attention beta", "attention conv branch 0",
+                          "attention conv branch 1", "attention conv branch 2"]
+        assert all(row.endswith("  ok") for row in rows[5:])
 
 
 class TestBench:
@@ -300,7 +322,7 @@ class TestConfigFlag:
         assert et.read_trajectory(gt).k == 3
 
     @pytest.mark.parametrize("line", ["scene_channels = 8.7,8", "lam_t = inf",
-                                      "flow_theta = -1,nan,1,1,1"])
+                                      "flow_theta = -1,nan,1,1,1", "k = \u0664"])
     def test_bad_config_value_exit_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# settings\n{line}\n")

@@ -112,6 +112,19 @@ class TestParseErrors:
         with pytest.raises(NotARotation, match="line 3"):
             parse_trajectory(text)
 
+    # int() and float() read Unicode digits and "_" separators: U+0661 is
+    # ARABIC-INDIC DIGIT ONE, so "0 1_0 \u0661 ..." would read as t = (10, 1, 0).
+    @pytest.mark.parametrize("row", ["0 1_0 \u0661 0 0 0 0 1", "0 1_0 1 0 0 0 0 1", "0 10 \u0661 0 0 0 0 1",
+                                     "\u0660 0 0 0 0 0 0 1", "0 0 0 0 0 0 0 \uff11"])
+    def test_number_must_be_plain_ascii(self, row):
+        with pytest.raises(TrajectoryParseError, match="line 2"):
+            parse_trajectory(f"unit=mm k=4\n{row}\n")
+
+    @pytest.mark.parametrize("k", ["\u0664", "1_0"])
+    def test_header_stride_must_be_plain_ascii(self, k):
+        with pytest.raises(TrajectoryParseError, match="line 1"):
+            parse_trajectory(f"unit=mm k={k}\n0 0 0 0 0 0 0 1\n")
+
     def test_values_at_bound_accepted(self):
         traj = parse_trajectory("unit=mm k=4\n0 1e150 -1e150 0 0 0 1e150 1\n")
         assert traj.t[0, 0] == 1e150
@@ -155,9 +168,11 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(TrajectoryParseError, match="line 1"):
             parse_config("k = four\n")
-        # Values must parse as the field's own type, and floats be finite.
+        # Values must parse as the field's own type, and floats be finite.  Numbers
+        # are plain ASCII without "_": int() would read U+0664 as 4 and "1_0" as 10.
         for bad in ("scene_channels = 8.7,8", "lam_t = inf", "flow_theta = -1,nan,1,1,1",
-                    "k = 2.0", "lam_r = 1,2"):
+                    "k = 2.0", "lam_r = 1,2", "k = \u0664", "seed = 1_0", "lam_t = 0.5_0",
+                    "flow_theta = 1,\u0662,1,1,1", "scene_channels = 8,\uff18"):
             with pytest.raises(TrajectoryParseError, match="line 2"):
                 parse_config(f"seed = 3\n{bad}\n")
 

@@ -1,10 +1,11 @@
-"""Parameter-tree walker: leaf paths and dtype casts over the real params classes."""
+"""Parameter-tree walker: leaf paths, dtype casts and one-element edits over the
+real params classes."""
 
 import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack.tree import astype, flatten
+from endotrack.tree import astype, flatten, with_element
 
 
 def test_leaf_paths_follow_field_order():
@@ -43,3 +44,43 @@ def test_astype_accepts_any_subtree():
     cast = astype(att, np.float32)
     assert all(w.dtype == np.float32 for w in cast.conv_w)
     assert cast.alpha == att.alpha and type(cast.alpha) is float
+
+
+def test_with_element_leaves_input_unchanged():
+    att = et.attention_init(3)
+    before = {key: np.copy(leaf) for key, leaf in flatten(att).items()}
+    new = with_element(att, "conv_w.1", (0, 0, 0, 2), 9.0)
+    assert new.conv_w[1][0, 0, 0, 2] == 9.0
+    for key, leaf in flatten(att).items():
+        assert np.array_equal(leaf, before[key]), key
+    changed = [key for key, leaf in flatten(new).items() if not np.array_equal(leaf, before[key])]
+    assert changed == ["conv_w.1"]
+    # Untouched array leaves are shared, not copied.
+    assert new.conv_w[0] is att.conv_w[0] and new.conv_b[1] is att.conv_b[1]
+
+
+def test_with_element_nested_paths():
+    dec = et.decoder_init(6, 6, seed=1)
+    new = with_element(dec, "blocks.0.gamma", (), 0.5)
+    assert new.blocks[0].gamma == 0.5 and dec.blocks[0].gamma == 1e-6
+    assert new.blocks[1].gamma == 1e-6 and new.blocks[0].dw_w is dec.blocks[0].dw_w
+    new = with_element(dec, "blocks.1.pw1_w", (2, 3, 0, 0), -4.0)
+    assert new.blocks[1].pw1_w[2, 3, 0, 0] == -4.0
+    assert dec.blocks[1].pw1_w[2, 3, 0, 0] != -4.0
+    x = np.arange(6.0).reshape(2, 3)
+    assert with_element(x, "", (1, 2), 0.0)[1, 2] == 0.0 and x[1, 2] == 5.0
+
+
+def test_with_element_scalar_leaf_keeps_type():
+    att = et.attention_init(2)
+    new = with_element(att, "alpha", (), np.float64(0.25))
+    assert type(new.alpha) is float and new.alpha == 0.25
+    assert type(with_element(et.LossWeights(), "lam_r", (), np.float32(1.5)).lam_r) is float
+    with pytest.raises(IndexError):
+        with_element(att, "beta", (0,), 1.0)
+
+
+@pytest.mark.parametrize("path", ["conv_w.3", "conv_w", "gamma", "alpha.0", "Alpha", ""])
+def test_with_element_unknown_path_raises(path):
+    with pytest.raises(KeyError, match="no leaf"):
+        with_element(et.attention_init(0), path, (), 1.0)
