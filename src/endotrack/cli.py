@@ -1,8 +1,9 @@
 """Command-line surface: synth, track, eval, gradcheck, bench.
 
-Exit codes: 0 success, 2 file parse error (message names the line),
-3 invalid pose in an input file, 4 unit, stride or frame-index mismatch
-between trajectories, 1 for other validation failures.
+Exit codes: 0 success, 2 file parse error (message names the line) or
+usage error, 3 invalid pose in an input file, 4 unit, stride or frame-index
+mismatch between trajectories, 1 for a file that cannot be read or written
+and for other validation failures.  Every failure prints one line.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .files import RunConfig, atomic_write_text, read_config, read_trajectory, write_trajectory
 from .metrics import evaluate
-from .pipeline import init_pipeline, pipeline_forward
+from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
 from .se3 import Pose
 from .tracker import NoiseSpec, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
 
@@ -101,7 +102,8 @@ def cmd_bench(args) -> int:
         raise EndotrackError(
             f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"
         )
-    pcfg = replace(cfg.pipeline_config(), height=h, width=w)
+    pcfg = PipelineConfig(height=h, width=w, scene_channels=cfg.scene_channels,
+                          joint_channels=cfg.joint_channels, seed=cfg.seed)
     dtype = np.float32 if args.f32 else np.float64
     params = init_pipeline(pcfg).astype(dtype)
     dec = decoder_init(pcfg.fused_channels, cfg.decoder_channels, seed=pcfg.seed + 1).astype(dtype)
@@ -134,8 +136,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Subparsers inherit this class, so every usage error is one line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="endotrack",
         description="Ego-motion tracking math core: synthetic trajectories, pose chaining, "
                     "metric evaluation, gradient checks, and a kernel throughput benchmark.",
@@ -201,7 +210,7 @@ def main(argv=None) -> int:
     except (UnitMismatch, AlignmentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except EndotrackError as e:
+    except (EndotrackError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

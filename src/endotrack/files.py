@@ -14,7 +14,6 @@ frames (k, 2k, ...).
 
 from __future__ import annotations
 
-import math
 import os
 import secrets
 import zipfile
@@ -27,7 +26,6 @@ from .errors import (
     ArchiveMismatch,
     BadChannelCount,
     BadExtent,
-    BadPenalty,
     NotARotation,
     TrajectoryParseError,
     ZeroQuaternion,
@@ -45,7 +43,11 @@ def atomic_write_text(path, text: str) -> None:
     rename.  Concurrent writers never share a temp file; a failure removes it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        # Name the file asked for, not the temp file.
+        raise OSError(e.errno, e.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -140,23 +142,28 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(poses.R, poses.t, k, unit, frames[0])
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8.  A byte that is not UTF-8 raises
+    TrajectoryParseError naming its line, as any other malformed text does."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise TrajectoryParseError(data.count(b"\n", 0, e.start) + 1,
+                                   f"byte {data[e.start]:#04x} is not UTF-8 text") from None
+
+
 def read_trajectory(path) -> Trajectory:
-    return parse_trajectory(Path(path).read_text())
+    return parse_trajectory(_read_text(path))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration with the package defaults."""
+    """Flat run configuration with the package defaults.  Every key is read:
+    ``k`` by synth, ``seed`` by synth, gradcheck and bench, the rest by bench."""
 
     k: int = 4
-    lam_t: float = 0.0
-    lam_r: float = -3.0
-    flow_eps: float = 0.01
-    flow_q: float = 0.4
-    flow_theta: tuple = (1.0, 1.0, 1.0, 1.0, 1.0)
     seed: int = 0
-    height: int = 64
-    width: int = 64
     scene_channels: tuple = (8, 8)
     joint_channels: tuple = (8, 8)
     decoder_channels: int = 12
@@ -166,41 +173,23 @@ class RunConfig:
             raise BadExtent(f"k must be >= 1, got {self.k}")
         if self.seed < 0:
             raise BadExtent(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.flow_q < 1.0:
-            raise BadPenalty(f"flow_q must lie in (0, 1), got {self.flow_q}")
-        if self.flow_eps <= 0.0:
-            raise BadPenalty(f"flow_eps must be positive, got {self.flow_eps}")
-        theta = tuple(float(t) for t in self.flow_theta)
-        if len(theta) != 5:
-            raise BadExtent(f"flow_theta needs 5 entries, got {len(theta)}")
-        object.__setattr__(self, "flow_theta", theta)
         if self.decoder_channels % 3 != 0:
             raise BadChannelCount(f"decoder_channels={self.decoder_channels} not divisible by 3")
-        # Delegates extent/channel validation.
-        self.pipeline_config()
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            height=self.height,
-            width=self.width,
-            scene_channels=tuple(self.scene_channels),
-            joint_channels=tuple(self.joint_channels),
-            seed=self.seed,
-        )
+        # Channel pairs are checked when the config loads, not first in bench.
+        PipelineConfig(scene_channels=self.scene_channels, joint_channels=self.joint_channels)
 
 
 def _parse_value(line_no: int, key: str, text: str, default):
-    """Parse as the type of the field's default; tuples split on commas and
-    parse each element as the type of the default's first element."""
+    """An integer, or for a tuple-valued key as many comma-separated
+    integers as its default has."""
     is_tuple = isinstance(default, tuple)
-    kind = type(default[0] if is_tuple else default)
     _plain_ascii(line_no, text)
     try:
-        vals = tuple(kind(v) for v in (text.split(",") if is_tuple else [text]))
+        vals = tuple(int(v) for v in (text.split(",") if is_tuple else [text]))
     except ValueError:
         raise TrajectoryParseError(line_no, f"bad value for {key}: {text!r}") from None
-    if kind is float and not all(math.isfinite(v) for v in vals):
-        raise TrajectoryParseError(line_no, f"{key} must be finite, got {text!r}")
+    if is_tuple and len(vals) != len(default):
+        raise TrajectoryParseError(line_no, f"{key} takes {len(default)} integers, got {text!r}")
     return vals if is_tuple else vals[0]
 
 
@@ -224,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def read_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read_text(path))
 
 
 def save_params(path, params) -> None:

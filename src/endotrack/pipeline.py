@@ -30,7 +30,6 @@ class PipelineConfig:
     width: int = 64
     scene_channels: tuple = (8, 8)
     joint_channels: tuple = (8, 8)
-    norm_eps: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class PipelineConfig:
             if len(pair) != 2 or min(pair) < 1:
                 raise BadExtent(f"{name} must be two positive extents, got {pair}")
             object.__setattr__(self, name, pair)
-        if self.norm_eps <= 0:
-            raise BadExtent("norm_eps must be positive")
 
     @property
     def fused_channels(self) -> int:
@@ -155,4 +152,4 @@ def pipeline_forward(img_prev: np.ndarray, img_cur: np.ndarray, flow: np.ndarray
     f_prev = extract_scene(img_prev, params)
     f_motion = extract_motion(flow, params)
     f_joint = extract_joint(np.concatenate([img_prev, img_cur]), params)
-    return fuse(f_cur, f_prev, f_motion, f_joint, params.config.norm_eps)
+    return fuse(f_cur, f_prev, f_motion, f_joint)

@@ -1,7 +1,8 @@
 """Property test of the trajectory-file boundary.
 
-Valid ground-truth and relative-pose files are mutated token by token and
-line by line, then run through ``eval`` and through ``track`` in both modes.
+Valid ground-truth and relative-pose files are mutated token by token (some
+tokens hold bytes that are not UTF-8) and line by line, then run through
+``eval`` and through ``track`` in both modes.
 Whatever the input, ``main`` must return a documented exit code (0-4), print
 at most one line on stderr and let no exception escape; floating-point
 overflow or an invalid operation (which numpy would only warn about) counts
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from endotrack.cli import main
 
+# The last two are bytes that are not UTF-8, as surrogateescape writes them:
+# 0xff, and a 0xc3 whose continuation byte is cut off.
 TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e150", "-1e150", "1e151", "-1e151",
-          "1e-320", "0", "-0", "1", "4", "-4", "١", "0x10", "1_0", "abc", ""]
+          "1e-320", "0", "-0", "1", "4", "-4", "١", "0x10", "1_0", "abc", "", "\udcff", "1\udcc3"]
 HEADERS = ["unit=m k=4", "unit=mm", "unit=mm k=0", "unit=mm k=-4", "unit=mm k=x",
            "k=4 unit=mm", "unit=mm k=4 x=1", "unit=cm k=4", "unit=mm k=2", "unit=mm k=1e3", ""]
 
@@ -83,10 +86,13 @@ def files(tmp_path_factory):
 # Both once overflowed: a quaternion norm to inf (read as the identity), and ate to inf.
 @example(target="gt", ops=[("token", 2, 5, "1e308")])
 @example(target="rels", ops=[("token", 1, 1, "-1e308")])
+@example(target="gt", ops=[("token", 3, 7, "\udcff")])
+@example(target="rels", ops=[("token", 0, 1, "1\udcc3")])
 def test_mutated_files_exit_cleanly(files, target, ops):
     gt, rels = files / "gt.txt", files / "rels.txt"
     bad = files / f"bad-{target}.txt"
-    bad.write_text(mutate((files / f"{target}.txt").read_text(), ops))
+    text = mutate((files / f"{target}.txt").read_text(), ops)
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
     if target == "gt":
         gt = bad
     else:

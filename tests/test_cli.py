@@ -233,6 +233,15 @@ class TestEval:
         assert code == 2
         assert out == "" and err.count("\n") == 1 and f"line {line}" in err
 
+    def test_non_utf8_byte_exit_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n4 0 0 0 0 0 0 1\n")
+        b = tmp_path / "b.txt"
+        b.write_bytes(b"unit=mm k=4\n0 0 0 0 0 0 0 1\n4 0 0 0 0 0 0 \xff\n")
+        code, out, err = run(capsys, "eval", str(a), str(b))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and "line 3" in err
+
     def test_report_file(self, tmp_path, capsys):
         gt, _ = synth_files(tmp_path, capsys)
         out_path = tmp_path / "report.txt"
@@ -321,11 +330,78 @@ class TestConfigFlag:
         gt, _ = synth_files(tmp_path, capsys, extra=("--config", str(cfg), "--k", "3"))
         assert et.read_trajectory(gt).k == 3
 
-    @pytest.mark.parametrize("line", ["scene_channels = 8.7,8", "lam_t = inf",
-                                      "flow_theta = -1,nan,1,1,1", "k = \u0664"])
-    def test_bad_config_value_exit_2(self, tmp_path, capsys, line):
+    @staticmethod
+    def bench_with_config(tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# settings\n{line}\n")
-        code, _, err = run(capsys, "bench", "--size", "16x16", "--repeat", "1", "--config", str(cfg))
+        return run(capsys, "bench", "--size", "16x16", "--repeat", "1", "--config", str(cfg))
+
+    @pytest.mark.parametrize("line", ["scene_channels = 8.7,8", "decoder_channels = 1_2",
+                                      "seed = 2.5", "joint_channels = 8",
+                                      "scene_channels = 8,\u0668", "k = \u0664"])
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, line):
+        code, _, err = self.bench_with_config(tmp_path, capsys, line)
         assert code == 2
         assert err.count("\n") == 1 and "line 2" in err
+
+    # Keys that were once parsed and then ignored: bench took its frame size
+    # from --size alone, and no command builds a loss.
+    @pytest.mark.parametrize("line", ["height = 32", "width = 16", "lam_t = 0.5", "lam_r = -1",
+                                      "flow_eps = 0.02", "flow_q = 0.3", "flow_theta = 1,2,3,4,5"])
+    def test_removed_key_exit_2(self, tmp_path, capsys, line):
+        code, out, err = self.bench_with_config(tmp_path, capsys, line)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "unknown config key" in err and "line 2" in err
+
+    def test_bad_channel_pair_exit_1(self, tmp_path, capsys):
+        # Checked when the config loads, so gradcheck, which builds no pipeline, fails too.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("joint_channels = 8,0\n")
+        code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "joint_channels" in err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# settings\nseed = 1\xc3\n")
+        code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "line 2" in err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 with one line naming it."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("eval", "{missing}", "{ok}"), "{missing}"),
+        (("track", "{ok}", "--base", "{missing}", "--out", "{d}/est.txt"), "{missing}"),
+        (("gradcheck", "--config", "{missing}"), "{missing}"),
+        (("track", "{rels}", "--base", "{ok}", "--out", "{d}/missing/est.txt"), "{d}/missing/est.txt"),
+    ], ids=["eval-input", "track-base", "config", "out-dir"])
+    def test_exit_1(self, tmp_path, capsys, argv, named):
+        ok = tmp_path / "ok.txt"
+        ok.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n")
+        rels = tmp_path / "rels.txt"
+        rels.write_text("unit=mm k=4\n4 0 0 0 0 0 0 1\n")
+        names = {"ok": ok, "rels": rels, "missing": tmp_path / "missing.txt", "d": tmp_path}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"'{named.format(**names)}'" in err
+        # No temp file is left behind, and nothing else is written.
+        assert sorted(tmp_path.iterdir()) == [ok, rels]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, name", [
+        (("bench", "--size"), "--size"),
+        (("frobnicate",), "frobnicate"),
+        (("track", "r.txt", "--base", "b.txt", "--out", "o.txt", "--mode", "sideways"), "sideways"),
+    ], ids=["missing-value", "unknown-command", "bad-choice"])
+    def test_one_line_exit_2(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert name in captured.err

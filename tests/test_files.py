@@ -1,4 +1,6 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import endotrack as et
 from endotrack.errors import (
     ArchiveMismatch,
     BadChannelCount,
-    BadPenalty,
+    BadExtent,
     NotARotation,
     TrajectoryParseError,
     ZeroQuaternion,
@@ -17,6 +19,7 @@ from endotrack.files import (
     load_params,
     parse_config,
     parse_trajectory,
+    read_config,
     save_params,
 )
 
@@ -134,32 +137,28 @@ class TestParseErrors:
 class TestConfig:
     def test_defaults(self):
         cfg = et.RunConfig()
-        assert cfg.k == 4
-        assert cfg.lam_t == 0.0 and cfg.lam_r == -3.0
-        assert cfg.flow_eps == 0.01 and cfg.flow_q == 0.4
-        assert cfg.flow_theta == (1.0,) * 5
+        assert cfg.k == 4 and cfg.seed == 0
+        assert cfg.scene_channels == cfg.joint_channels == (8, 8)
+        assert cfg.decoder_channels == 12
 
     def test_parse_all_keys(self):
         text = """
         # run settings
         k = 2
-        lam_t = 0.5
-        lam_r = -1.0
-        flow_eps = 0.02
-        flow_q = 0.3          # penalty
-        flow_theta = 1,2,3,4,5
-        seed = 7
-        height = 32
-        width = 32
+        seed = 7              # also seeds the weights
         scene_channels = 4,4
-        joint_channels = 4,4
+        joint_channels = 4,6
         decoder_channels = 6
         """
-        cfg = parse_config(text)
-        assert cfg.k == 2 and cfg.seed == 7
-        assert cfg.flow_theta == (1.0, 2.0, 3.0, 4.0, 5.0)
-        assert cfg.scene_channels == (4, 4)
-        assert cfg.pipeline_config().fused_channels == 16
+        assert parse_config(text) == et.RunConfig(2, 7, (4, 4), (4, 6), 6)
+
+    def test_readme_lists_every_key(self):
+        """The README's key list is the field list, defaults included."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        keys = re.search(r"Its keys and their defaults are (.+?)\.\s", readme, re.S).group(1)
+        pairs = re.findall(r"`(\w+) = ([^`]+)`", keys)
+        assert [key for key, _ in pairs] == [f.name for f in fields(et.RunConfig)]
+        assert parse_config("\n".join(f"{key} = {v}" for key, v in pairs)) == et.RunConfig()
 
     def test_unknown_key(self):
         with pytest.raises(TrajectoryParseError, match="unknown config key"):
@@ -168,19 +167,25 @@ class TestConfig:
     def test_bad_value(self):
         with pytest.raises(TrajectoryParseError, match="line 1"):
             parse_config("k = four\n")
-        # Values must parse as the field's own type, and floats be finite.  Numbers
-        # are plain ASCII without "_": int() would read U+0664 as 4 and "1_0" as 10.
-        for bad in ("scene_channels = 8.7,8", "lam_t = inf", "flow_theta = -1,nan,1,1,1",
-                    "k = 2.0", "lam_r = 1,2", "k = \u0664", "seed = 1_0", "lam_t = 0.5_0",
-                    "flow_theta = 1,\u0662,1,1,1", "scene_channels = 8,\uff18"):
+        # Values must be integers, and tuple keys take two.  Numbers are plain
+        # ASCII without "_": int() would read U+0664 as 4 and "1_0" as 10.
+        for bad in ("scene_channels = 8.7,8", "decoder_channels = 1_2", "seed = 2.5",
+                    "k = 2.0", "joint_channels = 8", "k = \u0664", "seed = 1_0",
+                    "scene_channels = 8,\u0668", "scene_channels = 8,\uff18"):
             with pytest.raises(TrajectoryParseError, match="line 2"):
                 parse_config(f"seed = 3\n{bad}\n")
 
     def test_validation_propagates(self):
-        with pytest.raises(BadPenalty):
-            parse_config("flow_q = 1.5\n")
         with pytest.raises(BadChannelCount):
             parse_config("decoder_channels = 8\n")
+        with pytest.raises(BadExtent, match="scene_channels"):
+            parse_config("scene_channels = 0,4\n")
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k = 2\n# caf\xc3\xa9\nseed = \xc3\n")
+        with pytest.raises(TrajectoryParseError, match="line 3"):
+            read_config(path)
 
 
 class TestParamArchives:
