@@ -26,7 +26,14 @@ from .errors import (
     UnitMismatch,
     ZeroQuaternion,
 )
-from .files import RunConfig, atomic_write_text, read_config, read_trajectory, write_trajectory
+from .files import (
+    RunConfig,
+    atomic_write_texts,
+    format_trajectory,
+    read_config,
+    read_trajectory,
+    write_trajectory,
+)
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
 from .se3 import Pose
@@ -49,8 +56,8 @@ def cmd_synth(args) -> int:
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=cfg.seed, unit=args.unit, k=cfg.k)
     spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=cfg.seed + 1)
     rels = perturb_relatives(gt, spec)
-    write_trajectory(args.out_gt, gt)
-    write_trajectory(args.out_rels, rels)
+    # Both files or neither: a failed write leaves no partial output.
+    atomic_write_texts([(args.out_gt, format_trajectory(gt)), (args.out_rels, format_trajectory(rels))])
     print(f"wrote {args.out_gt} ({len(gt)} poses) and {args.out_rels} ({len(rels)} relatives)")
     return 0
 
@@ -81,7 +88,7 @@ def cmd_eval(args) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        atomic_write_text(args.out, text + "\n")
+        atomic_write_texts([(args.out, text + "\n")])
     return 0
 
 

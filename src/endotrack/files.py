@@ -38,24 +38,31 @@ from .tree import flatten, map_leaves
 UNITS = ("mm", "cm")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a uniquely named temp file in the same directory, fsync it, then
-    rename.  Concurrent writers never share a temp file; a failure removes it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+def atomic_write_texts(items) -> None:
+    """Write each ``(path, text)`` pair through a uniquely named temp file in
+    the path's directory, fsynced, and rename the temp files into place only
+    after every one is written.  A failed write removes every temp file and
+    leaves every path as it was.  Concurrent writers never share a temp file."""
+    tmps = []
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as e:
-        # Name the file asked for, not the temp file.
-        raise OSError(e.errno, e.strerror, str(path)) from None
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        for path, text in items:
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as e:
+                # Name the file asked for, not the temp file.
+                raise OSError(e.errno, e.strerror, str(path)) from None
+            tmps.append((tmp, path))
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+                f.flush()
+                os.fsync(f.fileno())
+        for tmp, path in tmps:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -67,7 +74,7 @@ def format_trajectory(traj: Trajectory) -> str:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    atomic_write_text(path, format_trajectory(traj))
+    atomic_write_texts([(path, format_trajectory(traj))])
 
 
 def _plain_ascii(line_no: int, text: str) -> str:

@@ -40,6 +40,12 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown pooling kind {kind!r}")
 
 
+# Ungrouped kernels with at most this many taps are computed tap by tap
+# (kn2row); the rest build an im2col matrix, which measured faster for the
+# decoder's 7x7 grouped conv.
+TAPS_MAX = 9
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 1) -> np.ndarray:
     """Grouped 2-D cross-correlation with zero padding.
 
@@ -64,16 +70,34 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         raise ShapeMismatch(f"kernel {kh}x{kw} exceeds padded input {h + 2 * ph}x{wd + 2 * pw}")
 
     dtype = np.result_type(x, w)
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))).astype(dtype, copy=False)
-    # (C_in, H_out, W_out, kh, kw) strided view, then one matmul per group.
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    out = np.empty((c_out, h_out, w_out), dtype=dtype)
-    og = c_out // groups
-    for g in range(groups):
-        xs = win[g * c_per_g:(g + 1) * c_per_g]
-        cols = xs.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_per_g * kh * kw)
-        wg = w[g * og:(g + 1) * og].reshape(og, -1).astype(dtype, copy=False)
-        out[g * og:(g + 1) * og] = (cols @ wg.T).T.reshape(og, h_out, w_out)
+    if ph or pw:
+        xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw), dtype=dtype)
+        xp[:, ph:ph + h, pw:pw + wd] = x
+    else:
+        xp = x.astype(dtype, copy=False)
+    w = w.astype(dtype, copy=False)
+    if groups == 1 and kh * kw <= TAPS_MAX:
+        # One (C_out, C_in) @ (C_in, H_out*W_out) matmul per tap, summed.
+        out = None
+        for i in range(kh):
+            for j in range(kw):
+                tap = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+                y = w[:, :, i, j] @ tap.reshape(c_in, h_out * w_out)
+                if out is None:
+                    out = y
+                else:
+                    out += y
+        out = out.reshape(c_out, h_out, w_out)
+    else:
+        # (C_in, H_out, W_out, kh, kw) strided view, then one matmul per group.
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+        out = np.empty((c_out, h_out, w_out), dtype=dtype)
+        og = c_out // groups
+        for g in range(groups):
+            xs = win[g * c_per_g:(g + 1) * c_per_g]
+            cols = xs.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_per_g * kh * kw)
+            wg = w[g * og:(g + 1) * og].reshape(og, -1)
+            out[g * og:(g + 1) * og] = (cols @ wg.T).T.reshape(og, h_out, w_out)
     if b is not None:
         b = np.asarray(b)
         if b.shape != (c_out,):
@@ -111,11 +135,9 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
         x = x.astype(dtype, copy=False)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        # exp(-|x|) never overflows; minimum(x, -x) is -|x| that keeps a NaN's sign.
+        e = np.exp(np.minimum(x, -x))
+        out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         info = np.finfo(dtype)
         return np.clip(out, info.tiny, 1.0 - info.epsneg)
     raise ValueError(f"unknown activation kind {kind!r}")

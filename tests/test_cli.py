@@ -45,6 +45,13 @@ class TestSynth:
         assert err.count("\n") == 1 and "bias" in err
         assert not list(tmp_path.iterdir())
 
+    def test_unwritable_rels_leaves_no_gt(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--n", "5", "--out-gt", str(tmp_path / "gt.txt"),
+                           "--out-rels", str(tmp_path / "missing" / "r.txt"))
+        assert code == 1
+        assert err.count("\n") == 1 and "missing" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ("synth", "--seed", "-1"),
         ("synth", "--sigma-t", "nan"),

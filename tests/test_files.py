@@ -267,19 +267,29 @@ class TestParamArchives:
 
 class TestAtomicWrite:
     def test_no_stale_tmp_left(self, tmp_path):
-        from endotrack.files import atomic_write_text
+        from endotrack.files import atomic_write_texts
 
         target = tmp_path / "out.txt"
-        atomic_write_text(target, "hello\n")
+        atomic_write_texts([(target, "hello\n")])
         assert target.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [target]
 
     def test_failed_write_keeps_old_file_and_no_tmp(self, tmp_path):
-        from endotrack.files import atomic_write_text
+        from endotrack.files import atomic_write_texts
 
         target = tmp_path / "out.txt"
-        atomic_write_text(target, "old\n")
+        atomic_write_texts([(target, "old\n")])
         with pytest.raises(UnicodeEncodeError):
-            atomic_write_text(target, "\ud800")
+            atomic_write_texts([(target, "\ud800")])
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_second_write_replaces_neither(self, tmp_path):
+        from endotrack.files import atomic_write_texts
+
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        atomic_write_texts([(first, "old a\n"), (second, "old b\n")])
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_texts([(first, "new a\n"), (second, "\ud800")])
+        assert first.read_text() == "old a\n" and second.read_text() == "old b\n"
+        assert sorted(tmp_path.iterdir()) == [first, second]

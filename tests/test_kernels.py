@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -135,6 +135,17 @@ class TestConv2d:
         out = kernels.conv2d(x, w, b, stride=(2, 1), pad=(1, 0), groups=2)
         assert_close(out, loop_conv2d(x, w, b, stride=(2, 1), pad=(1, 0), groups=2))
 
+    @pytest.mark.parametrize("kh, kw, groups", [(3, 3, 1), (7, 7, 3)])
+    def test_f32_in_f32_out(self, rng, kh, kw, groups):
+        x = rng.standard_normal((6, 9, 8))
+        w = rng.standard_normal((6, 6 // groups, kh, kw))
+        b = rng.standard_normal(6)
+        out = kernels.conv2d(x.astype(np.float32), w.astype(np.float32), b.astype(np.float32),
+                             stride=(1, 2), pad=3, groups=groups)
+        assert out.dtype == np.float32
+        expect = loop_conv2d(x, w, b, stride=(1, 2), pad=(3, 3), groups=groups)
+        np.testing.assert_allclose(out, expect, rtol=1e-4, atol=1e-4)
+
     def test_output_extent_formula(self, rng):
         x = rng.standard_normal((1, 8, 8))
         w = rng.standard_normal((1, 1, 2, 2))
@@ -185,12 +196,17 @@ class TestActivation:
         assert np.array_equal(kernels.activation(np.array([-1.0, 2.0]), "relu"), [0.0, 2.0])
 
     def test_sigmoid_at_zero(self):
-        assert kernels.activation(np.array([0.0]), "sigmoid")[0] == 0.5
+        for dtype in (np.float32, np.float64):
+            out = kernels.activation(np.array([0.0, -0.0], dtype), "sigmoid")
+            assert out.dtype == dtype and np.array_equal(out, [0.5, 0.5])
 
     def test_sigmoid_saturation_stays_open(self):
-        out = kernels.activation(np.array([-50.0, 50.0, -1000.0, 1000.0]), "sigmoid")
+        out = kernels.activation(np.array([-50.0, 50.0, -1000.0, 1000.0, -np.inf, np.inf]), "sigmoid")
         assert np.all(out > 0.0) and np.all(out < 1.0)
         assert np.all(np.isfinite(out))
+        info = np.finfo(np.float64)
+        assert out[-2] == info.tiny and out[-1] == 1.0 - info.epsneg
+        assert np.isnan(kernels.activation(np.array([np.nan]), "sigmoid")[0])
 
     def test_sigmoid_log_domain_oracle(self):
         # exp(x - log(1 + exp(x))) evaluated in log space for x << 0.
@@ -275,13 +291,21 @@ class TestFiniteDiff:
             finite_diff_grad(lambda x: 0.0, np.zeros(2), h=0.0)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31), st.integers(1, 8), st.integers(1, 16), st.integers(1, 16))
-def test_conv_oracle_random_shapes(seed, c, h, w):
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from([1, 2, 3]), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 7), st.integers(1, 7), st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 6), st.integers(0, 6))
+# One ungrouped kernel on each side of TAPS_MAX: 3x3 runs by taps, 2x5 by im2col.
+@example(seed=0, groups=1, c_per_g=2, og=2, kh=3, kw=3, stride=(1, 1), pad=(1, 1), dh=0, dw=2)
+@example(seed=0, groups=1, c_per_g=2, og=2, kh=2, kw=5, stride=(2, 1), pad=(0, 2), dh=3, dw=0)
+def test_conv_oracle_random_shapes(seed, groups, c_per_g, og, kh, kw, stride, pad, dh, dw):
     r = np.random.default_rng(seed)
-    x = r.standard_normal((c, h, w))
-    kh = int(r.integers(1, min(h, 3) + 1))
-    kw = int(r.integers(1, min(w, 3) + 1))
-    wts = r.standard_normal((2, c, kh, kw))
-    out = kernels.conv2d(x, wts, pad=(1, 1))
-    np.testing.assert_allclose(out, loop_conv2d(x, wts, pad=(1, 1)), rtol=RELTOL, atol=1e-13)
+    # The smallest input the padded kernel fits, plus dh/dw; extents of 1 occur.
+    h = max(kh - 2 * pad[0], 1) + dh
+    w = max(kw - 2 * pad[1], 1) + dw
+    x = r.standard_normal((groups * c_per_g, h, w))
+    wts = r.standard_normal((groups * og, c_per_g, kh, kw))
+    b = r.standard_normal(groups * og)
+    out = kernels.conv2d(x, wts, b, stride=stride, pad=pad, groups=groups)
+    expect = loop_conv2d(x, wts, b, stride=stride, pad=pad, groups=groups)
+    np.testing.assert_allclose(out, expect, rtol=RELTOL, atol=1e-13)
