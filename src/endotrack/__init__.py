@@ -8,7 +8,7 @@ from . import errors
 from .attention import AttentionParams, attention_forward, attention_init
 from .checks import attention_grad_check, decoder_grad_check
 from .decoder import DecoderParams, decoder_forward, decoder_init, dsc_block_forward
-from .files import RunConfig, read_config, read_trajectory, write_trajectory
+from .files import read_trajectory, write_trajectory
 from .losses import (
     FlowPyramid,
     LossWeights,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 file parse error (message names the line) or
 usage error, 3 invalid pose in an input file, 4 unit, stride or frame-index
 mismatch between trajectories, 1 for a file that cannot be read or written
-and for other validation failures.  Every failure prints one line.
+and for other validation failures.  Every failure prints one line.  Run
+values come from flags alone; ``bench`` runs the default widths.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .checks import format_entries, run_gradient_checks
 from .decoder import decoder_forward, decoder_init
 from .errors import (
     AlignmentError,
+    BadExtent,
     EndotrackError,
     InvalidQuaternion,
     NotARotation,
@@ -26,35 +27,32 @@ from .errors import (
     UnitMismatch,
     ZeroQuaternion,
 )
-from .files import (
-    RunConfig,
-    atomic_write_texts,
-    format_trajectory,
-    read_config,
-    read_trajectory,
-    write_trajectory,
-)
+from .files import atomic_write_texts, format_trajectory, read_trajectory, write_trajectory
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
 from .se3 import Pose
-from .tracker import NoiseSpec, chain_absolute, chain_rebased, perturb_relatives, synth_trajectory
+from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, perturb_relatives,
+                      synth_trajectory)
+
+# The decoder width bench runs, as the benchmark's track workloads do.
+BENCH_DECODER_CHANNELS = 12
 
 
-def _load_config(args) -> RunConfig:
-    """The --config file (or the defaults) with --seed and --k applied, validated together."""
-    cfg = read_config(args.config) if args.config else RunConfig()
-    flags = {key: getattr(args, key, None) for key in ("seed", "k")}
-    return replace(cfg, **{key: v for key, v in flags.items() if v is not None})
+def _seed(args) -> int:
+    """--seed, checked here for every command that takes it."""
+    if args.seed < 0:
+        raise BadExtent(f"seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+    seed = _seed(args)
     try:
         bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
         raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
-    gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=cfg.seed, unit=args.unit, k=cfg.k)
-    spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=cfg.seed + 1)
+    gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
+    spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
     rels = perturb_relatives(gt, spec)
     # Both files or neither: a failed write leaves no partial output.
     atomic_write_texts([(args.out_gt, format_trajectory(gt)), (args.out_rels, format_trajectory(rels))])
@@ -93,14 +91,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args)
-    entries = run_gradient_checks(cfg.seed, inject_nan=args.inject_nan)
-    print(format_entries(entries, cfg.seed))
+    seed = _seed(args)
+    entries = run_gradient_checks(seed, inject_nan=args.inject_nan)
+    print(format_entries(entries, seed))
     return 0 if all(e.passed for e in entries) else 1
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args)
     try:
         h, w = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
@@ -109,11 +106,10 @@ def cmd_bench(args) -> int:
         raise EndotrackError(
             f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"
         )
-    pcfg = PipelineConfig(height=h, width=w, scene_channels=cfg.scene_channels,
-                          joint_channels=cfg.joint_channels, seed=cfg.seed)
+    pcfg = PipelineConfig(height=h, width=w)
     dtype = np.float32 if args.f32 else np.float64
     params = init_pipeline(pcfg).astype(dtype)
-    dec = decoder_init(pcfg.fused_channels, cfg.decoder_channels, seed=pcfg.seed + 1).astype(dtype)
+    dec = decoder_init(pcfg.fused_channels, BENCH_DECODER_CHANNELS, seed=pcfg.seed + 1).astype(dtype)
     rng = np.random.default_rng(pcfg.seed)
     img_prev = rng.standard_normal((3, h, w)).astype(dtype)
     img_cur = rng.standard_normal((3, h, w)).astype(dtype)
@@ -160,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a ground-truth trajectory and noisy relative poses")
     p.add_argument("--n", type=int, default=500, help="number of poses")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="frame stride")
+    p.add_argument("--seed", type=int, default=0, help="at least 0")
+    p.add_argument("--k", type=int, default=DEFAULT_STRIDE, help="frame stride, at least 1")
     p.add_argument("--smoothness", type=float, default=1.0, help="upper bound on step length")
     p.add_argument("--sigma-t", type=float, default=0.0, help="translation noise std per step")
     p.add_argument("--sigma-r", type=float, default=0.0, help="rotation noise std per step (radians)")
@@ -169,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", choices=("mm", "cm"), default="mm")
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-rels", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("track", help="chain relative poses into an absolute trajectory")
@@ -187,10 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="at least 0")
     p.add_argument("--inject-nan", action="store_true",
                    help="corrupt parameters first (verifies the harness fails loudly)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time the feature pipeline + decoder per frame pair")
@@ -198,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--f32", action="store_true", help="reduced-precision mode")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -58,7 +58,7 @@ class AlignmentError(EndotrackError):
 
 
 class TrajectoryParseError(EndotrackError):
-    """Malformed trajectory or config file; carries the offending line number."""
+    """Malformed trajectory file; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

@@ -1,4 +1,4 @@
-"""Text trajectory files, the run configuration, and parameter archives.
+"""Text trajectory files and parameter archives.
 
 Trajectory format: '#' comment lines anywhere, then one header line
 ``unit=<mm|cm> k=<stride>``, then one row per pose::
@@ -9,7 +9,8 @@ The quaternion is scalar-LAST on disk (the common trajectory-file layout)
 and converted to the scalar-first internal form at this boundary.  Floats
 are written with shortest round-trip repr, so parse(serialize(t)) is exact.
 Relative-pose sequences use the same format; their indices are the target
-frames (k, 2k, ...).
+frames (k, 2k, ...).  Every value is finite and at most ``POSE_BOUND`` in
+magnitude, on reading and on writing alike.
 """
 
 from __future__ import annotations
@@ -17,25 +18,22 @@ from __future__ import annotations
 import os
 import secrets
 import zipfile
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ArchiveMismatch,
-    BadChannelCount,
-    BadExtent,
-    NotARotation,
-    TrajectoryParseError,
-    ZeroQuaternion,
-)
-from .pipeline import PipelineConfig
+from .errors import ArchiveMismatch, NotARotation, TrajectoryParseError, ZeroQuaternion
 from .se3 import PoseVec, pose_from_vec, pose_to_vec
 from .tracker import Trajectory
 from .tree import flatten, map_leaves
 
 UNITS = ("mm", "cm")
+# Squared norms of sums of values this size stay finite.
+POSE_BOUND = 1e150
+
+
+def _beyond_bound(where: str) -> NotARotation:
+    return NotARotation(f"{where}: pose values must be finite and at most {POSE_BOUND:g} in magnitude")
 
 
 def atomic_write_texts(items) -> None:
@@ -67,8 +65,15 @@ def atomic_write_texts(items) -> None:
 
 
 def format_trajectory(traj: Trajectory) -> str:
+    """The file text; a row that the reader would reject raises NotARotation
+    naming its frame, so nothing is written that cannot be read back."""
     v = pose_to_vec(traj)
-    rows = np.concatenate([v.t, v.q[:, 1:], v.q[:, :1]], axis=1).tolist()
+    rows = np.concatenate([v.t, v.q[:, 1:], v.q[:, :1]], axis=1)
+    # Two comparisons, so NaN fails both and no float temporary is made.
+    beyond = ~((rows <= POSE_BOUND) & (rows >= -POSE_BOUND)).all(axis=1)
+    if beyond.any():
+        raise _beyond_bound(f"frame {traj.frames[int(beyond.argmax())]}")
+    rows = rows.tolist()
     lines = [f"{frame} " + " ".join(map(repr, row)) for frame, row in zip(traj.frames, rows)]
     return "\n".join([f"unit={traj.unit} k={traj.k}", *lines]) + "\n"
 
@@ -126,9 +131,9 @@ def parse_trajectory(text: str) -> Trajectory:
             vals = [float(t) for t in tokens[1:]]
         except ValueError as e:
             raise TrajectoryParseError(line_no, str(e)) from None
-        # Also rejects NaN and inf.  Squared norms of sums of values this size stay finite.
-        if not all(abs(v) <= 1e150 for v in vals):
-            raise NotARotation(f"line {line_no}: pose values must be finite and at most 1e150 in magnitude")
+        # Also rejects NaN and inf.
+        if not all(abs(v) <= POSE_BOUND for v in vals):
+            raise _beyond_bound(f"line {line_no}")
         if frames and frame - frames[-1] != k:
             raise TrajectoryParseError(
                 line_no, f"frame index {frame} does not follow {frames[-1]} by k={k}"
@@ -162,65 +167,6 @@ def _read_text(path) -> str:
 
 def read_trajectory(path) -> Trajectory:
     return parse_trajectory(_read_text(path))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration with the package defaults.  Every key is read:
-    ``k`` by synth, ``seed`` by synth, gradcheck and bench, the rest by bench."""
-
-    k: int = 4
-    seed: int = 0
-    scene_channels: tuple = (8, 8)
-    joint_channels: tuple = (8, 8)
-    decoder_channels: int = 12
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise BadExtent(f"k must be >= 1, got {self.k}")
-        if self.seed < 0:
-            raise BadExtent(f"seed must be >= 0, got {self.seed}")
-        if self.decoder_channels % 3 != 0:
-            raise BadChannelCount(f"decoder_channels={self.decoder_channels} not divisible by 3")
-        # Channel pairs are checked when the config loads, not first in bench.
-        PipelineConfig(scene_channels=self.scene_channels, joint_channels=self.joint_channels)
-
-
-def _parse_value(line_no: int, key: str, text: str, default):
-    """An integer, or for a tuple-valued key as many comma-separated
-    integers as its default has."""
-    is_tuple = isinstance(default, tuple)
-    _plain_ascii(line_no, text)
-    try:
-        vals = tuple(int(v) for v in (text.split(",") if is_tuple else [text]))
-    except ValueError:
-        raise TrajectoryParseError(line_no, f"bad value for {key}: {text!r}") from None
-    if is_tuple and len(vals) != len(default):
-        raise TrajectoryParseError(line_no, f"{key} takes {len(default)} integers, got {text!r}")
-    return vals if is_tuple else vals[0]
-
-
-def parse_config(text: str) -> RunConfig:
-    """key = value lines; '#' comments; commas for tuple-valued keys."""
-    values = {}
-    defaults = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise TrajectoryParseError(line_no, f"expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known:
-            raise TrajectoryParseError(line_no, f"unknown config key {key!r}")
-        values[key] = _parse_value(line_no, key, value.strip(), getattr(defaults, key))
-    return RunConfig(**values)
-
-
-def read_config(path) -> RunConfig:
-    return parse_config(_read_text(path))
 
 
 def save_params(path, params) -> None:

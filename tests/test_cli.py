@@ -1,10 +1,14 @@
 """CLI behavior through cli.main(argv): exit codes, determinism, reports."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack.cli import main
+from endotrack.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -54,6 +58,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("argv", [
         ("synth", "--seed", "-1"),
+        ("synth", "--k", "0"),
         ("synth", "--sigma-t", "nan"),
         ("synth", "--sigma-t", "-0.5"),
         ("synth", "--sigma-r", "inf"),
@@ -69,16 +74,14 @@ class TestSynth:
         assert err.count("\n") == 1 and argv[1].lstrip("-").replace("-", "_") in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["synth", "bench", "gradcheck"])
-    def test_negative_config_seed_exit_1(self, tmp_path, capsys, command):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = -1\n")
-        extra = {"synth": ("--out-gt", str(tmp_path / "gt.txt"), "--out-rels", str(tmp_path / "r.txt")),
-                 "bench": ("--size", "16x16", "--repeat", "1")}.get(command, ())
-        code, _, err = run(capsys, command, "--config", str(cfg), *extra)
-        assert code == 1
-        assert err.count("\n") == 1 and "seed" in err
-        assert list(tmp_path.iterdir()) == [cfg]
+    # Each value makes a pose beyond the bound the reader enforces.
+    @pytest.mark.parametrize("argv", [("--smoothness", "1e200"), ("--sigma-t", "1e300")])
+    def test_unreadable_output_exit_3(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, "synth", "--n", "5", *argv, "--out-gt", str(tmp_path / "gt.txt"),
+                             "--out-rels", str(tmp_path / "rels.txt"))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "frame 4" in err
+        assert not list(tmp_path.iterdir())
 
     def test_minimal_n(self, tmp_path, capsys):
         gt, rels = synth_files(tmp_path, capsys, n=2)
@@ -165,6 +168,18 @@ class TestTrack:
         code, _, err = run(capsys, "track", str(bad), "--base", str(base), "--out", str(tmp_path / "o.txt"))
         assert code == 3
 
+    def test_chain_beyond_bound_exit_3(self, tmp_path, capsys):
+        # Each row reads back, but the chained sum passes 1e150 at the second step.
+        rels = tmp_path / "rels.txt"
+        rows = "".join(f"{4 * (i + 1)} 1e150 0 0 0 0 0 1\n" for i in range(2000))
+        rels.write_text("unit=mm k=4\n" + rows)
+        base = tmp_path / "base.txt"
+        base.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n")
+        code, out, err = run(capsys, "track", str(rels), "--base", str(base), "--out", str(tmp_path / "o.txt"))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "frame 8" in err
+        assert sorted(tmp_path.iterdir()) == [base, rels]
+
     def test_unit_mismatch_exit_4(self, tmp_path, capsys):
         rels = tmp_path / "rels.txt"
         rels.write_text("unit=cm k=4\n4 0 0 0 0 0 0 1\n")
@@ -176,8 +191,6 @@ class TestTrack:
 
 class TestEval:
     def test_identical_files_zero_summary(self, tmp_path, capsys):
-        import re
-
         gt, _ = synth_files(tmp_path, capsys)
         code, out, _ = run(capsys, "eval", str(gt), str(gt))
         assert code == 0
@@ -308,8 +321,6 @@ class TestBench:
         assert err.count("\n") == 1 and flag in err
 
     def test_fps_non_increasing_in_area(self, capsys):
-        import re
-
         # Interleaved rounds, best fps per size: a spell of outside load then
         # slows one round of every size instead of all repeats of one size.
         sizes = ("32x32", "64x64", "128x128")
@@ -324,67 +335,14 @@ class TestBench:
         assert fps[2] <= fps[1] * 1.10
 
 
-class TestConfigFlag:
-    def test_synth_uses_config_k(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 2\n")
-        gt, _ = synth_files(tmp_path, capsys, extra=("--config", str(cfg)))
-        assert et.read_trajectory(gt).k == 2
-
-    def test_cli_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 2\n")
-        gt, _ = synth_files(tmp_path, capsys, extra=("--config", str(cfg), "--k", "3"))
-        assert et.read_trajectory(gt).k == 3
-
-    @staticmethod
-    def bench_with_config(tmp_path, capsys, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# settings\n{line}\n")
-        return run(capsys, "bench", "--size", "16x16", "--repeat", "1", "--config", str(cfg))
-
-    @pytest.mark.parametrize("line", ["scene_channels = 8.7,8", "decoder_channels = 1_2",
-                                      "seed = 2.5", "joint_channels = 8",
-                                      "scene_channels = 8,\u0668", "k = \u0664"])
-    def test_bad_config_value_exit_2(self, tmp_path, capsys, line):
-        code, _, err = self.bench_with_config(tmp_path, capsys, line)
-        assert code == 2
-        assert err.count("\n") == 1 and "line 2" in err
-
-    # Keys that were once parsed and then ignored: bench took its frame size
-    # from --size alone, and no command builds a loss.
-    @pytest.mark.parametrize("line", ["height = 32", "width = 16", "lam_t = 0.5", "lam_r = -1",
-                                      "flow_eps = 0.02", "flow_q = 0.3", "flow_theta = 1,2,3,4,5"])
-    def test_removed_key_exit_2(self, tmp_path, capsys, line):
-        code, out, err = self.bench_with_config(tmp_path, capsys, line)
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "unknown config key" in err and "line 2" in err
-
-    def test_bad_channel_pair_exit_1(self, tmp_path, capsys):
-        # Checked when the config loads, so gradcheck, which builds no pipeline, fails too.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("joint_channels = 8,0\n")
-        code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "joint_channels" in err
-
-    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"# settings\nseed = 1\xc3\n")
-        code, out, err = run(capsys, "gradcheck", "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "line 2" in err
-
-
 class TestFileErrors:
     """A file that cannot be read or written exits 1 with one line naming it."""
 
     @pytest.mark.parametrize("argv, named", [
         (("eval", "{missing}", "{ok}"), "{missing}"),
         (("track", "{ok}", "--base", "{missing}", "--out", "{d}/est.txt"), "{missing}"),
-        (("gradcheck", "--config", "{missing}"), "{missing}"),
         (("track", "{rels}", "--base", "{ok}", "--out", "{d}/missing/est.txt"), "{d}/missing/est.txt"),
-    ], ids=["eval-input", "track-base", "config", "out-dir"])
+    ], ids=["eval-input", "track-base", "out-dir"])
     def test_exit_1(self, tmp_path, capsys, argv, named):
         ok = tmp_path / "ok.txt"
         ok.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n")
@@ -404,7 +362,11 @@ class TestUsageErrors:
         (("bench", "--size"), "--size"),
         (("frobnicate",), "frobnicate"),
         (("track", "r.txt", "--base", "b.txt", "--out", "o.txt", "--mode", "sideways"), "sideways"),
-    ], ids=["missing-value", "unknown-command", "bad-choice"])
+        (("synth", "--config", "x", "--out-gt", "g.txt", "--out-rels", "r.txt"), "--config"),
+        (("gradcheck", "--config", "x"), "--config"),
+        (("bench", "--config", "x"), "--config"),
+    ], ids=["missing-value", "unknown-command", "bad-choice", "synth-config", "gradcheck-config",
+            "bench-config"])
     def test_one_line_exit_2(self, capsys, argv, name):
         with pytest.raises(SystemExit) as exited:
             main(list(argv))
@@ -412,3 +374,18 @@ class TestUsageErrors:
         assert exited.value.code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert name in captured.err
+
+
+def test_readme_examples_parse():
+    """Every `endotrack ...` line of the README's CLI block parses, and each command has one."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("endotrack ")]
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    commands = {shlex.split(line)[1] for line in lines}
+    assert commands == {"synth", "track", "eval", "gradcheck", "bench"}

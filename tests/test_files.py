@@ -1,6 +1,4 @@
-import re
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +6,6 @@ import pytest
 import endotrack as et
 from endotrack.errors import (
     ArchiveMismatch,
-    BadChannelCount,
-    BadExtent,
     NotARotation,
     TrajectoryParseError,
     ZeroQuaternion,
@@ -17,9 +13,7 @@ from endotrack.errors import (
 from endotrack.files import (
     format_trajectory,
     load_params,
-    parse_config,
     parse_trajectory,
-    read_config,
     save_params,
 )
 
@@ -134,58 +128,23 @@ class TestParseErrors:
         assert np.allclose(traj.R[0], et.rotmat_from_axis_angle([0, 0, 1], np.pi), atol=1e-12)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = et.RunConfig()
-        assert cfg.k == 4 and cfg.seed == 0
-        assert cfg.scene_channels == cfg.joint_channels == (8, 8)
-        assert cfg.decoder_channels == 12
+class TestWriteBound:
+    """The writer rejects what the reader would, so every written file reads back."""
 
-    def test_parse_all_keys(self):
-        text = """
-        # run settings
-        k = 2
-        seed = 7              # also seeds the weights
-        scene_channels = 4,4
-        joint_channels = 4,6
-        decoder_channels = 6
-        """
-        assert parse_config(text) == et.RunConfig(2, 7, (4, 4), (4, 6), 6)
+    @pytest.mark.parametrize("value", [1.0000001e150, -1e151, 1e300, np.inf, np.nan])
+    def test_beyond_bound_names_frame(self, value):
+        traj = et.synth_trajectory(5, seed=2, k=3)
+        t = traj.t.copy()
+        t[3, 1] = value
+        with pytest.raises(NotARotation, match="frame 9: pose values must be finite"):
+            format_trajectory(replace(traj, t=t))
 
-    def test_readme_lists_every_key(self):
-        """The README's key list is the field list, defaults included."""
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        keys = re.search(r"Its keys and their defaults are (.+?)\.\s", readme, re.S).group(1)
-        pairs = re.findall(r"`(\w+) = ([^`]+)`", keys)
-        assert [key for key, _ in pairs] == [f.name for f in fields(et.RunConfig)]
-        assert parse_config("\n".join(f"{key} = {v}" for key, v in pairs)) == et.RunConfig()
-
-    def test_unknown_key(self):
-        with pytest.raises(TrajectoryParseError, match="unknown config key"):
-            parse_config("frobnicate = 3\n")
-
-    def test_bad_value(self):
-        with pytest.raises(TrajectoryParseError, match="line 1"):
-            parse_config("k = four\n")
-        # Values must be integers, and tuple keys take two.  Numbers are plain
-        # ASCII without "_": int() would read U+0664 as 4 and "1_0" as 10.
-        for bad in ("scene_channels = 8.7,8", "decoder_channels = 1_2", "seed = 2.5",
-                    "k = 2.0", "joint_channels = 8", "k = \u0664", "seed = 1_0",
-                    "scene_channels = 8,\u0668", "scene_channels = 8,\uff18"):
-            with pytest.raises(TrajectoryParseError, match="line 2"):
-                parse_config(f"seed = 3\n{bad}\n")
-
-    def test_validation_propagates(self):
-        with pytest.raises(BadChannelCount):
-            parse_config("decoder_channels = 8\n")
-        with pytest.raises(BadExtent, match="scene_channels"):
-            parse_config("scene_channels = 0,4\n")
-
-    def test_non_utf8_names_line(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_bytes(b"k = 2\n# caf\xc3\xa9\nseed = \xc3\n")
-        with pytest.raises(TrajectoryParseError, match="line 3"):
-            read_config(path)
+    def test_at_bound_round_trips(self):
+        traj = et.synth_trajectory(4, seed=2)
+        t = traj.t.copy()
+        t[1] = [1e150, -1e150, 0.0]
+        back = parse_trajectory(format_trajectory(replace(traj, t=t)))
+        assert np.array_equal(back.t, t)
 
 
 class TestParamArchives:
