@@ -36,6 +36,12 @@ from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, 
 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
+# Largest synth --n: 100x the benchmark's 1e4-pose pass, about 1.4 GB and a
+# minute to generate and write.
+MAX_POSES = 10**6
+# Largest bench --size extent: a 4K (3840x2160) frame fits; 4096x4096 float64
+# needs about 4 GB.
+MAX_FRAME_SIDE = 4096
 
 
 def _seed(args) -> int:
@@ -47,6 +53,8 @@ def _seed(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = _seed(args)
+    if args.n > MAX_POSES:
+        raise BadExtent(f"--n must be at most {MAX_POSES}, got {args.n}")
     try:
         bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
@@ -102,6 +110,8 @@ def cmd_bench(args) -> int:
         h, w = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
+    if max(h, w) > MAX_FRAME_SIDE:
+        raise BadExtent(f"--size extents must be at most {MAX_FRAME_SIDE}, got {h}x{w}")
     if args.repeat < 1 or args.warmup < 0:
         raise EndotrackError(
             f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"

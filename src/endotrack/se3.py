@@ -25,6 +25,9 @@ from .errors import NotARotation, ShapeMismatch, ZeroQuaternion
 LOG_EPS = 1e-8
 # Orthonormality defect that triggers re-orthonormalization after composing.
 ORTHO_TOL = 1e-9
+# Shared by every drift test, so a compose allocates no identity; read-only.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,10 @@ def rotmat_from_euler(rx: float, ry: float, rz: float) -> np.ndarray:
 
 
 def _ortho_defect(R: np.ndarray) -> np.ndarray:
-    return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+    """Largest |R'R - I| entry per rotation; the subtract and abs reuse R'R's buffer."""
+    D = R.mT @ R
+    D -= _EYE3
+    return np.abs(D, out=D).max(axis=(-2, -1))
 
 
 def check_rotation(R, tol: float = 1e-6) -> None:

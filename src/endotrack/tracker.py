@@ -91,8 +91,8 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE, start: i
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
-    for i, rel in enumerate(rels.poses, start=1):
-        cur = pose_compose(cur, rel)
+    for i, (rel_R, rel_t) in enumerate(zip(rels.R, rels.t), start=1):
+        cur = pose_compose(cur, Pose(rel_R, rel_t, rels.unit))
         if i % RENORM_EVERY == 0:
             cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
@@ -108,8 +108,9 @@ def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
     if len(rels) != len(gt) - 1:
         raise LengthMismatch(f"{len(rels)} relatives for a {len(gt)}-pose trajectory")
     R, t = gt.R.copy(), gt.t.copy()
-    for i, (prev_gt, rel) in enumerate(zip(gt.poses, rels.poses), start=1):
-        step = pose_compose(prev_gt, rel)
+    for i in range(1, len(gt)):
+        step = pose_compose(Pose(gt.R[i - 1], gt.t[i - 1], gt.unit),
+                            Pose(rels.R[i - 1], rels.t[i - 1], rels.unit))
         R[i], t[i] = step.R, step.t
     return Trajectory(R, t, gt.k, gt.unit, gt.start)
 
@@ -121,25 +122,37 @@ def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
     Per-step translation directions follow momentum-filtered noise and step
     lengths are drawn from smoothness * U[0.25, 1), so every step length is
     bounded by ``smoothness``, which must be finite and positive.  Small
-    smoothed rotations accompany each step.  Deterministic per seed.
+    smoothed rotations accompany each step.  Deterministic per seed: one
+    stream seeded by ``seed`` draws the initial heading (3 normals) and axis
+    (3 normals), then per step the heading noise (3 normals), the step length
+    (one uniform), the axis noise (3 normals) and the angle (one normal).
     """
     if n < 2:
         raise LengthMismatch(f"need at least 2 poses, got n={n}")
     if not (np.isfinite(smoothness) and smoothness > 0):
         raise ShapeMismatch(f"smoothness must be finite and positive, got {smoothness}")
     rng = np.random.default_rng(seed)
-    heading = rng.standard_normal(3)
-    axis = rng.standard_normal(3)
+    # Columns 0-2 hold the heading, 3-5 the axis: row 0 their initial values,
+    # row i step i's noise until the momentum filter overwrites it in place.
+    filtered, length, angle = np.empty((n, 6)), np.empty(n), np.empty(n)
+    rng.standard_normal(out=filtered[0, :3])
+    rng.standard_normal(out=filtered[0, 3:])
+    # The uniform sits between the normals of a step, so the draws stay per step.
+    for i in range(1, n):
+        rng.standard_normal(out=filtered[i, :3])
+        length[i] = rng.uniform(0.25, 1.0)
+        rng.standard_normal(out=filtered[i, 3:])
+        angle[i] = rng.normal(0.0, 0.03)
+        filtered[i] = 0.8 * filtered[i - 1] + 0.2 * filtered[i]
+    heading, axis = filtered[1:, :3], filtered[1:, 3:]
+    direction = heading / np.maximum(vec_norm(heading), 1e-12)[:, None]
+    step_t = (smoothness * length[1:])[:, None] * direction
+    step_R = rotmat_from_axis_angle(axis, np.abs(angle[1:]))
     cur = identity_pose(unit)
     R, t = np.empty((n, 3, 3)), np.empty((n, 3))
     R[0], t[0] = cur.R, cur.t
     for i in range(1, n):
-        heading = 0.8 * heading + 0.2 * rng.standard_normal(3)
-        direction = heading / max(np.linalg.norm(heading), 1e-12)
-        step_t = smoothness * rng.uniform(0.25, 1.0) * direction
-        axis = 0.8 * axis + 0.2 * rng.standard_normal(3)
-        angle = abs(rng.normal(0.0, 0.03))
-        cur = pose_compose(cur, Pose(rotmat_from_axis_angle(axis, angle), step_t, unit))
+        cur = pose_compose(cur, Pose(step_R[i - 1], step_t[i - 1], unit))
         R[i], t[i] = cur.R, cur.t
     return Trajectory(R, t, k, unit)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack.cli import build_parser, main
+from endotrack.cli import MAX_FRAME_SIDE, MAX_POSES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -333,6 +333,33 @@ class TestBench:
         # Allow 10% timing jitter; the areas differ by 4x each step.
         assert fps[1] <= fps[0] * 1.10
         assert fps[2] <= fps[1] * 1.10
+
+
+class TestSizeLimits:
+    """Sizes above the fixed limits exit 1 with one line, before any allocation."""
+
+    @pytest.mark.parametrize("n", [MAX_POSES + 1, 10**11])
+    def test_synth_n_above_limit(self, tmp_path, capsys, n):
+        code, out, err = run(capsys, "synth", "--n", str(n), "--out-gt", str(tmp_path / "gt.txt"),
+                             "--out-rels", str(tmp_path / "rels.txt"))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--n" in err and str(MAX_POSES) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", [f"{MAX_FRAME_SIDE + 1}x5", f"5x{MAX_FRAME_SIDE + 1}", "5x5000000"])
+    def test_bench_size_above_limit(self, tmp_path, capsys, monkeypatch, size):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "bench", "--size", size, "--repeat", "1", "--warmup", "0")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--size" in err and str(MAX_FRAME_SIDE) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_size_at_limit_runs(self, capsys):
+        code, out, _ = run(capsys, "bench", "--size", f"5x{MAX_FRAME_SIDE}", "--repeat", "1",
+                           "--warmup", "0", "--f32")
+        assert code == 0 and f"size 5x{MAX_FRAME_SIDE}" in out
 
 
 class TestFileErrors:

@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 
 import endotrack as et
 from endotrack.errors import NotARotation, ShapeMismatch, ZeroQuaternion
+from endotrack import se3
 from endotrack.se3 import vec_norm
 
 from conftest import random_pose, random_unit_quat
@@ -180,6 +181,44 @@ class TestPoseAlgebra:
             et.Pose(np.eye(4), np.zeros(3))
         with pytest.raises(ShapeMismatch):
             et.Pose(np.eye(3), np.zeros(4))
+
+
+class TestOrthoDefect:
+    """The drift test equals the plain expression bit for bit, NaN and inf included."""
+
+    @staticmethod
+    def plain(R):
+        return np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1))
+
+    def test_matches_plain_expression(self, rng):
+        near = et.quat_to_rotmat(rng.standard_normal((40, 4)))
+        special = rng.standard_normal((6, 3, 3))
+        special[0, 1, 2] = np.nan
+        special[1, 0, 0] = np.inf
+        special[2, 2, 1] = -np.inf
+        special[3] = np.nan
+        special[4, 0] = [np.inf, -np.inf, 0.0]
+        cases = [rng.standard_normal((50, 3, 3)), near + 1e-9 * rng.standard_normal(near.shape),
+                 special, rng.standard_normal((2, 4, 3, 3)), rng.standard_normal((3, 3)),
+                 np.eye(3), special[1]]
+        with np.errstate(invalid="ignore"):
+            for R in cases:
+                before = R.copy()
+                got = se3._ortho_defect(R)
+                assert got.shape == R.shape[:-2]
+                assert np.array_equal(got, self.plain(R), equal_nan=True)
+                assert np.array_equal(R, before, equal_nan=True)
+            defect = se3._ortho_defect(special)
+        assert np.isnan(defect[[0, 3, 4]]).all() and np.isinf(defect[[1, 2]]).all()
+
+    def test_shared_identity_is_read_only(self):
+        assert not se3._EYE3.flags.writeable
+        with pytest.raises(ValueError):
+            se3._EYE3[0, 0] = 2.0
+        a, b = et.identity_pose(), et.identity_pose()
+        assert a.R.flags.writeable and a.R is not b.R and a.R is not se3._EYE3
+        a.R[0, 0] = 2.0
+        assert np.array_equal(b.R, np.eye(3)) and np.array_equal(et.identity_pose().R, np.eye(3))
 
 
 class TestEuler:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import endotrack as et
+from endotrack import se3
 from endotrack.errors import LengthMismatch, ShapeMismatch
 
 from conftest import random_pose, trajectory_of
+from trajectory_oracle import chain_absolute_loop, chain_rebased_loop, synth_trajectory_loop
 
 
 def ate_series(gt, est):
@@ -200,3 +202,48 @@ class TestRenormalization:
             np.max(np.abs(p.R.T @ p.R - np.eye(3))) for p in est.poses[::100]
         )
         assert worst < 1e-9
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.R, want.R) and np.array_equal(got.t, want.t)
+    assert (got.k, got.unit, got.start) == (want.k, want.unit, want.start)
+
+
+class TestAgainstLoopOracle:
+    """The batched synth and the row-indexed chains equal the per-step loops bit for bit."""
+
+    # n = 65 and 1000 cross RENORM_EVERY = 64 in chain_absolute.
+    @pytest.mark.parametrize("n", [2, 3, 65, 1000])
+    @pytest.mark.parametrize("smoothness", [1e-3, 1.0, 1e3])
+    def test_synth(self, n, smoothness):
+        for seed in (0, 7, 2024):
+            assert_same_bits(et.synth_trajectory(n, smoothness, seed, "cm", 3),
+                             synth_trajectory_loop(n, smoothness, seed, "cm", 3))
+        assert_same_bits(et.synth_trajectory(n, smoothness), synth_trajectory_loop(n, smoothness))
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 1000])
+    def test_chains(self, rng, n):
+        synth = et.synth_trajectory(n, seed=n, unit="cm")
+        gt = et.Trajectory(synth.R, synth.t, k=3, unit="cm", start=6)
+        for seed in (1, 2):
+            rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, sigma_r=0.01, seed=seed))
+            p0 = random_pose(rng, unit="cm")
+            assert_same_bits(et.chain_absolute(p0, rels, k=3, start=6),
+                             chain_absolute_loop(p0, rels, k=3, start=6))
+            assert_same_bits(et.chain_rebased(gt, rels), chain_rebased_loop(gt, rels))
+
+    def test_chains_with_drift_repair(self, rng, monkeypatch):
+        # Relatives 1e-6 off the rotation group: every compose re-orthonormalizes.
+        gt = et.synth_trajectory(200, seed=4, unit="cm", k=3)
+        exact = gt.relatives()
+        rels = et.Trajectory(exact.R + 1e-6 * rng.standard_normal(exact.R.shape), exact.t,
+                             exact.k, exact.unit, exact.start)
+        repairs = []
+        monkeypatch.setattr(se3, "orthonormalize", lambda R: repairs.append(1) or et.orthonormalize(R))
+        p0 = gt.poses[0]
+        got = et.chain_absolute(p0, rels, k=3), et.chain_rebased(gt, rels)
+        assert len(repairs) == 2 * len(rels)
+        want = chain_absolute_loop(p0, rels, k=3), chain_rebased_loop(gt, rels)
+        assert len(repairs) == 4 * len(rels)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)

@@ -1,0 +1,52 @@
+"""Per-step references for the trajectory loops.
+
+``synth_trajectory_loop`` draws, filters, normalizes and composes one step at
+a time; ``chain_absolute_loop`` and ``chain_rebased_loop`` compose the
+per-pose ``Trajectory.poses`` views.  endotrack.tracker batches everything
+but the compose recurrence and reads array rows; tests require equal bits.
+"""
+
+import numpy as np
+
+from endotrack.se3 import Pose, identity_pose, orthonormalize, pose_compose, rotmat_from_axis_angle
+from endotrack.tracker import DEFAULT_STRIDE, RENORM_EVERY, Trajectory
+
+
+def synth_trajectory_loop(n: int, smoothness: float = 1.0, seed: int = 0,
+                          unit: str = "mm", k: int = DEFAULT_STRIDE) -> Trajectory:
+    rng = np.random.default_rng(seed)
+    heading = rng.standard_normal(3)
+    axis = rng.standard_normal(3)
+    cur = identity_pose(unit)
+    R, t = np.empty((n, 3, 3)), np.empty((n, 3))
+    R[0], t[0] = cur.R, cur.t
+    for i in range(1, n):
+        heading = 0.8 * heading + 0.2 * rng.standard_normal(3)
+        direction = heading / max(np.linalg.norm(heading), 1e-12)
+        step_t = smoothness * rng.uniform(0.25, 1.0) * direction
+        axis = 0.8 * axis + 0.2 * rng.standard_normal(3)
+        angle = abs(rng.normal(0.0, 0.03))
+        cur = pose_compose(cur, Pose(rotmat_from_axis_angle(axis, angle), step_t, unit))
+        R[i], t[i] = cur.R, cur.t
+    return Trajectory(R, t, k, unit)
+
+
+def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE,
+                        start: int = 0) -> Trajectory:
+    R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
+    R[0], t[0] = p0.R, p0.t
+    cur = p0
+    for i, rel in enumerate(rels.poses, start=1):
+        cur = pose_compose(cur, rel)
+        if i % RENORM_EVERY == 0:
+            cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
+        R[i], t[i] = cur.R, cur.t
+    return Trajectory(R, t, k, p0.unit, start)
+
+
+def chain_rebased_loop(gt: Trajectory, rels: Trajectory) -> Trajectory:
+    R, t = gt.R.copy(), gt.t.copy()
+    for i, (prev_gt, rel) in enumerate(zip(gt.poses, rels.poses), start=1):
+        step = pose_compose(prev_gt, rel)
+        R[i], t[i] = step.R, step.t
+    return Trajectory(R, t, gt.k, gt.unit, gt.start)
