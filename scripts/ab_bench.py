@@ -1,16 +1,19 @@
 """A/B runs of the benchmark: a base revision against the working tree.
 
-    python3 scripts/ab_bench.py --base HEAD~1 --workload traj-10k --pairs 10 --out BENCH_9.json
+    python3 scripts/ab_bench.py --base HEAD~1 --workload traj-10k --out BENCH_9.json
 
 Exports the base revision's committed files with ``git archive`` into a
 temporary directory (``TMPDIR`` picks its parent), then runs
-``perfbench/run.py --trace 0`` in that copy ("parent") and in the working
-tree ("change"), one pair per seed 1..N for each workload.  Odd pairs run the
-parent first, even pairs the change.  After every run it rewrites ``--out``
+``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s ``run_seconds`` in
+that copy ("parent") and in the working tree ("change"), one pair per seed
+1..10 for each workload.  Odd pairs run the parent first, even pairs the
+change.  After every run it rewrites ``--out``
 with every run so far and, for each workload and each end-to-end metric named
 in ``BENCHMARK.json``, both sides' quartiles, the pairs the change won and
 the relative change of the medians.  Nothing under ``perfbench/`` is
 imported or written to, apart from the results perfbench writes itself.
+Needs a Python whose ``tarfile`` has extraction filters (3.10.12, 3.11.4,
+3.12 or later).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Ten pairs per workload: a claimed gain must win at least nine of ten.
+PAIRS = 10
 # Context keys that describe the machine rather than one run.
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads_pinned")
 
@@ -109,17 +114,17 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--workload", action="append", required=True, help="repeat for several")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--out", type=Path, required=True)
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if not hasattr(tarfile, "data_filter"):
+        raise SystemExit(f"ab_bench: Python {sys.version.split()[0]} has no tarfile extraction "
+                         "filters; use 3.10.12, 3.11.4, 3.12 or later")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         checkouts = {"parent": Path(tmp), "change": ROOT}
         base = export_revision(args.base, checkouts["parent"])
@@ -132,7 +137,7 @@ def main(argv=None) -> int:
             "machine": {}, "summary": {}, "runs": [],
         }
         for workload in args.workload:
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
                     result, ctx = run_side(checkouts[side], workload, pair, seconds)

@@ -36,11 +36,12 @@ from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, 
 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
-# Largest synth --n: 100x the benchmark's 1e4-pose pass, about 1.4 GB and a
-# minute to generate and write.
+# Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
+# measured 1.36 GB peak RSS and 56 s on a 2-core Xeon.
 MAX_POSES = 10**6
-# Largest bench --size extent: a 4K (3840x2160) frame fits; 4096x4096 float64
-# needs about 4 GB.
+# Largest bench --size extent: a 4K (3840x2160) frame fits.  Peak RSS measured
+# 283 MB at 1024x1024 and 963 MB at 2048x2048 (float64, about 225 B a pixel),
+# so 4096x4096 comes to about 3.8 GB by extrapolation (not run).
 MAX_FRAME_SIDE = 4096
 
 
