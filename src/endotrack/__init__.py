@@ -46,7 +46,6 @@ from .se3 import (
     quat_to_rotmat,
     relative_pose,
     rotmat_from_axis_angle,
-    rotmat_from_euler,
     rotmat_to_quat,
 )
 from .tracker import (

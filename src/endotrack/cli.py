@@ -40,8 +40,8 @@ BENCH_DECODER_CHANNELS = 12
 # measured 1.36 GB peak RSS and 56 s on a 2-core Xeon.
 MAX_POSES = 10**6
 # Largest bench --size extent: a 4K (3840x2160) frame fits.  Peak RSS measured
-# 283 MB at 1024x1024 and 963 MB at 2048x2048 (float64, about 225 B a pixel),
-# so 4096x4096 comes to about 3.8 GB by extrapolation (not run).
+# 345 MB at 1024x1024 and 1245 MB at 2048x2048 (float64, about 290 B a pixel),
+# so 4096x4096 comes to about 4.8 GB by extrapolation (not run).
 MAX_FRAME_SIDE = 4096
 
 

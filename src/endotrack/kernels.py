@@ -9,7 +9,6 @@ Every kernel here is pure and deterministic.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadPermutation, ShapeMismatch
 
@@ -40,12 +39,6 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown pooling kind {kind!r}")
 
 
-# Ungrouped kernels with at most this many taps are computed tap by tap
-# (kn2row); the rest build an im2col matrix, which measured faster for the
-# decoder's 7x7 grouped conv.
-TAPS_MAX = 9
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 1) -> np.ndarray:
     """Grouped 2-D cross-correlation with zero padding.
 
@@ -74,30 +67,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw), dtype=dtype)
         xp[:, ph:ph + h, pw:pw + wd] = x
     else:
-        xp = x.astype(dtype, copy=False)
-    w = w.astype(dtype, copy=False)
-    if groups == 1 and kh * kw <= TAPS_MAX:
-        # One (C_out, C_in) @ (C_in, H_out*W_out) matmul per tap, summed.
-        out = None
-        for i in range(kh):
-            for j in range(kw):
-                tap = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
-                y = w[:, :, i, j] @ tap.reshape(c_in, h_out * w_out)
-                if out is None:
-                    out = y
-                else:
-                    out += y
-        out = out.reshape(c_out, h_out, w_out)
-    else:
-        # (C_in, H_out, W_out, kh, kw) strided view, then one matmul per group.
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-        out = np.empty((c_out, h_out, w_out), dtype=dtype)
-        og = c_out // groups
-        for g in range(groups):
-            xs = win[g * c_per_g:(g + 1) * c_per_g]
-            cols = xs.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_per_g * kh * kw)
-            wg = w[g * og:(g + 1) * og].reshape(og, -1)
-            out[g * og:(g + 1) * og] = (cols @ wg.T).T.reshape(og, h_out, w_out)
+        xp = x
+    # Gathered im2col: copy every strided tap into one (C_in, kh, kw, H_out,
+    # W_out) buffer, then one (groups, C_out/g, K) @ (groups, K, H_out*W_out) matmul.
+    cols = np.empty((c_in, kh, kw, h_out, w_out), dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+    k = c_per_g * kh * kw
+    out = w.astype(dtype, copy=False).reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
+    out = out.reshape(c_out, h_out, w_out)
     if b is not None:
         b = np.asarray(b)
         if b.shape != (c_out,):

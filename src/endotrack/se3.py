@@ -175,14 +175,6 @@ def euler_from_rotmat(R) -> tuple:
     return rx[()], ry[()], rz[()]
 
 
-def rotmat_from_euler(rx: float, ry: float, rz: float) -> np.ndarray:
-    """Inverse of euler_from_rotmat: R = Rz(rz) @ Ry(ry) @ Rx(rx)."""
-    Rx = rotmat_from_axis_angle([1.0, 0.0, 0.0], rx)
-    Ry = rotmat_from_axis_angle([0.0, 1.0, 0.0], ry)
-    Rz = rotmat_from_axis_angle([0.0, 0.0, 1.0], rz)
-    return Rz @ Ry @ Rx
-
-
 def _ortho_defect(R: np.ndarray) -> np.ndarray:
     """Largest |R'R - I| entry per rotation; the subtract and abs reuse R'R's buffer."""
     D = R.mT @ R

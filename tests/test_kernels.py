@@ -294,16 +294,27 @@ class TestFiniteDiff:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 3]), st.integers(1, 3), st.integers(1, 2),
        st.integers(1, 7), st.integers(1, 7), st.tuples(st.integers(1, 2), st.integers(1, 2)),
-       st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 6), st.integers(0, 6))
-# One ungrouped kernel on each side of TAPS_MAX: 3x3 runs by taps, 2x5 by im2col.
-@example(seed=0, groups=1, c_per_g=2, og=2, kh=3, kw=3, stride=(1, 1), pad=(1, 1), dh=0, dw=2)
-@example(seed=0, groups=1, c_per_g=2, og=2, kh=2, kw=5, stride=(2, 1), pad=(0, 2), dh=3, dw=0)
-def test_conv_oracle_random_shapes(seed, groups, c_per_g, og, kh, kw, stride, pad, dh, dw):
+       st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 6), st.integers(0, 6),
+       st.booleans())
+# A 3x3 kernel padded by 1 on both axes (the stems' kernel and pad); a 2x5 kernel
+# whose stride and pad differ per axis, so a tap offset or stride applied to the
+# wrong axis shows; three groups gathered straight from a strided, unpadded input.
+@example(seed=0, groups=1, c_per_g=2, og=2, kh=3, kw=3, stride=(1, 1), pad=(1, 1), dh=0, dw=2,
+         strided_x=False)
+@example(seed=0, groups=1, c_per_g=2, og=2, kh=2, kw=5, stride=(2, 1), pad=(0, 2), dh=3, dw=0,
+         strided_x=False)
+@example(seed=0, groups=3, c_per_g=2, og=1, kh=3, kw=2, stride=(1, 2), pad=(0, 0), dh=2, dw=3,
+         strided_x=True)
+def test_conv_oracle_random_shapes(seed, groups, c_per_g, og, kh, kw, stride, pad, dh, dw,
+                                   strided_x):
     r = np.random.default_rng(seed)
     # The smallest input the padded kernel fits, plus dh/dw; extents of 1 occur.
     h = max(kh - 2 * pad[0], 1) + dh
     w = max(kw - 2 * pad[1], 1) + dw
     x = r.standard_normal((groups * c_per_g, h, w))
+    if strided_x:
+        # The same values stored as a (W, H, C) array and viewed as (C, H, W): not C-contiguous.
+        x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
     wts = r.standard_normal((groups * og, c_per_g, kh, kw))
     b = r.standard_normal(groups * og)
     out = kernels.conv2d(x, wts, b, stride=stride, pad=pad, groups=groups)

@@ -14,6 +14,14 @@ from endotrack.se3 import vec_norm
 from conftest import random_pose, random_unit_quat
 
 
+def rotmat_from_euler(rx, ry, rz):
+    """Inverse of euler_from_rotmat: R = Rz(rz) @ Ry(ry) @ Rx(rx)."""
+    Rx = et.rotmat_from_axis_angle([1.0, 0.0, 0.0], rx)
+    Ry = et.rotmat_from_axis_angle([0.0, 1.0, 0.0], ry)
+    Rz = et.rotmat_from_axis_angle([0.0, 0.0, 1.0], rz)
+    return Rz @ Ry @ Rx
+
+
 def pose_as_matrix(p):
     M = np.eye(4)
     M[:3, :3] = p.R
@@ -227,7 +235,7 @@ class TestEuler:
 
     def test_pure_x_rotation(self):
         # Oracle: build the matrix from known angles and invert.
-        R = et.rotmat_from_euler(math.pi / 6, 0.0, 0.0)
+        R = rotmat_from_euler(math.pi / 6, 0.0, 0.0)
         rx, ry, rz = et.euler_from_rotmat(R)
         assert rx == pytest.approx(math.pi / 6, abs=1e-12)
         assert ry == pytest.approx(0.0, abs=1e-12)
@@ -237,8 +245,8 @@ class TestEuler:
         for _ in range(300):
             angles = rng.uniform(-math.pi, math.pi, 3)
             angles[1] = rng.uniform(-1.4, 1.4)  # keep |ry| < pi/2
-            R = et.rotmat_from_euler(*angles)
-            R2 = et.rotmat_from_euler(*et.euler_from_rotmat(R))
+            R = rotmat_from_euler(*angles)
+            R2 = rotmat_from_euler(*et.euler_from_rotmat(R))
             assert np.allclose(R, R2, atol=1e-9)
 
     def test_matches_scipy(self, rng):
@@ -252,10 +260,10 @@ class TestEuler:
 
     def test_gimbal_lock_sets_rz_zero(self):
         for ry in (math.pi / 2, -math.pi / 2):
-            R = et.rotmat_from_euler(0.3, ry, 0.7)
+            R = rotmat_from_euler(0.3, ry, 0.7)
             rx, ry_out, rz = et.euler_from_rotmat(R)
             assert rz == 0.0
-            assert np.allclose(et.rotmat_from_euler(rx, ry_out, rz), R, atol=1e-9)
+            assert np.allclose(rotmat_from_euler(rx, ry_out, rz), R, atol=1e-9)
 
 
 class TestPoseVec:
