@@ -39,10 +39,9 @@ BENCH_DECODER_CHANNELS = 12
 # Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
 # measured 1.36 GB peak RSS and 56 s on a 2-core Xeon.
 MAX_POSES = 10**6
-# Largest bench --size extent: a 4K (3840x2160) frame fits.  Peak RSS measured
-# 345 MB at 1024x1024 and 1245 MB at 2048x2048 (float64, about 290 B a pixel),
-# so 4096x4096 comes to about 4.8 GB by extrapolation (not run).
-MAX_FRAME_SIDE = 4096
+# Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.41 GB
+# peak RSS and 10 s on a 2-core Xeon (about 290 B a pixel).
+MAX_FRAME_PIXELS = 3840 * 2160
 
 
 def _seed(args) -> int:
@@ -111,8 +110,8 @@ def cmd_bench(args) -> int:
         h, w = (int(v) for v in args.size.lower().split("x"))
     except ValueError:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
-    if max(h, w) > MAX_FRAME_SIDE:
-        raise BadExtent(f"--size extents must be at most {MAX_FRAME_SIDE}, got {h}x{w}")
+    if h * w > MAX_FRAME_PIXELS:
+        raise BadExtent(f"--size must be at most {MAX_FRAME_PIXELS} pixels (3840x2160), got {h}x{w}")
     if args.repeat < 1 or args.warmup < 0:
         raise EndotrackError(
             f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"

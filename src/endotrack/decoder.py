@@ -15,11 +15,10 @@ import numpy as np
 
 from . import tree
 from .errors import BadChannelCount, ShapeMismatch
-from .kernels import activation, affine, conv2d, layernorm
+from .kernels import activation, affine, conv2d, conv_init, layernorm
 from .se3 import PoseVec, quat_normalize
 
 GAMMA_INIT = 1e-6
-LN_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,6 @@ class DecoderParams:
         return tree.astype(self, dtype)
 
 
-def _uniform(rng, shape, fan_in):
-    k = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-k, k, size=shape)
-
-
 def decoder_init(in_channels: int, channels: int, seed: int = 0) -> DecoderParams:
     """Seeded parameters; ``channels`` is the post-squeeze width.
 
@@ -69,28 +63,16 @@ def decoder_init(in_channels: int, channels: int, seed: int = 0) -> DecoderParam
     c = channels
     blocks = []
     for _ in range(2):
-        blocks.append(
-            DscBlockParams(
-                dw_w=_uniform(rng, (c, c // 3, 7, 7), (c // 3) * 49),
-                dw_b=_uniform(rng, (c,), (c // 3) * 49),
-                pw1_w=_uniform(rng, (c, c, 1, 1), c),
-                pw1_b=_uniform(rng, (c,), c),
-                pw2_w=_uniform(rng, (c, c, 1, 1), c),
-                pw2_b=_uniform(rng, (c,), c),
-                gamma=GAMMA_INIT,
-            )
-        )
-    return DecoderParams(
-        squeeze_w=_uniform(rng, (c, in_channels, 1, 1), in_channels),
-        squeeze_b=_uniform(rng, (c,), in_channels),
-        ln_gamma=np.ones(c),
-        ln_beta=np.zeros(c),
-        down_w=_uniform(rng, (c, c, 2, 2), c * 4),
-        down_b=_uniform(rng, (c,), c * 4),
-        blocks=tuple(blocks),
-        head_w=_uniform(rng, (7, c), c),
-        head_b=_uniform(rng, (7,), c),
-    )
+        dw_w, dw_b = conv_init(rng, c, c // 3, 7, 7)
+        pw1_w, pw1_b = conv_init(rng, c, c, 1, 1)
+        pw2_w, pw2_b = conv_init(rng, c, c, 1, 1)
+        blocks.append(DscBlockParams(dw_w, dw_b, pw1_w, pw1_b, pw2_w, pw2_b, GAMMA_INIT))
+    squeeze_w, squeeze_b = conv_init(rng, c, in_channels, 1, 1)
+    down_w, down_b = conv_init(rng, c, c, 2, 2)
+    # The affine head draws as a 1x1 conv (7, C, 1, 1): the same fan-in C.
+    head_w, head_b = conv_init(rng, 7, c, 1, 1)
+    return DecoderParams(squeeze_w, squeeze_b, np.ones(c), np.zeros(c), down_w, down_b,
+                         tuple(blocks), head_w.reshape(7, c), head_b)
 
 
 def dsc_block_forward(x: np.ndarray, block: DscBlockParams) -> np.ndarray:
@@ -117,7 +99,7 @@ def decoder_forward(f: np.ndarray, params: DecoderParams) -> PoseVec:
             f"expected ({params.squeeze_w.shape[1]}, H, W) input, got {f.shape}"
         )
     x = activation(conv2d(f, params.squeeze_w, params.squeeze_b), "relu")
-    x = layernorm(x, params.ln_gamma, params.ln_beta, eps=LN_EPS)
+    x = layernorm(x, params.ln_gamma, params.ln_beta)
     x = conv2d(x, params.down_w, params.down_b, stride=2)
     for block in params.blocks:
         x = dsc_block_forward(x, block)

@@ -96,6 +96,8 @@ def _parse_header(line_no: int, line: str) -> tuple[str, int]:
         if "=" not in token:
             raise TrajectoryParseError(line_no, f"expected key=value header tokens, got {token!r}")
         key, _, value = token.partition("=")
+        if key in kv:
+            raise TrajectoryParseError(line_no, f"header key {key!r} given twice")
         kv[key] = value
     if set(kv) != {"unit", "k"}:
         raise TrajectoryParseError(line_no, f"header must declare unit and k, got {sorted(kv)}")

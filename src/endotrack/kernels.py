@@ -1,9 +1,11 @@
-"""Dense tensor kernels backing the attention block and pose decoder.
+"""Dense tensor kernels backing the feature front end, the attention block
+and the pose decoder, and the standardization and initializer they share.
 
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
 (C, H, W) layout; the attention block pools its (H, W, C) maps through views.
-Every kernel here is pure and deterministic.
+Every kernel here is pure and deterministic; ``conv_init`` draws from the
+generator it is given.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadPermutation, ShapeMismatch
+
+# Added to the variance before the square root in every standardization.
+EPS = 1e-6
 
 
 def _pair(v) -> tuple[int, int]:
@@ -37,6 +42,13 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "avg":
         return x.mean(axis=-1, keepdims=True)
     raise ValueError(f"unknown pooling kind {kind!r}")
+
+
+def conv_init(rng, c_out: int, c_in: int, kh: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fan-in uniform weights (c_out, c_in, kh, kw), then bias (c_out,), both
+    drawn from U(-k, k) with k = 1/sqrt(c_in*kh*kw)."""
+    k = 1.0 / np.sqrt(c_in * kh * kw)
+    return rng.uniform(-k, k, size=(c_out, c_in, kh, kw)), rng.uniform(-k, k, size=(c_out,))
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 1) -> np.ndarray:
@@ -85,7 +97,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     return out
 
 
-def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def standardize(x: np.ndarray, axis) -> np.ndarray:
+    """Zero mean, unit variance over ``axis``: (x - mean) / sqrt(var + EPS)."""
+    x = np.asarray(x)
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    return (x - mu) / np.sqrt(var + EPS)
+
+
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize over the channel axis at each spatial position.
 
     x: (C, H, W); gamma, beta: (C,).
@@ -95,10 +115,7 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     beta = np.asarray(beta)
     if x.ndim != 3 or gamma.shape != (x.shape[0],) or beta.shape != (x.shape[0],):
         raise ShapeMismatch(f"layernorm shapes: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}")
-    mu = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    z = (x - mu) / np.sqrt(var + eps)
-    return z * gamma[:, None, None] + beta[:, None, None]
+    return standardize(x, 0) * gamma[:, None, None] + beta[:, None, None]
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:

@@ -3,9 +3,9 @@
 Two scene features (one per frame) and a motion feature (from the optical
 flow, zero-padded to 3 channels) come from a shared 2-stage strided conv
 stack with seeded random weights.  The joint feature comes from the stacked
-frame pair through stem conv + attention, twice.  All four maps are
-standardized per channel and concatenated in the order
-(current scene, previous scene, motion, joint).
+frame pair through stem conv + attention, twice.  The four maps are
+concatenated in the order (current scene, previous scene, motion, joint),
+and the fused map is standardized once per channel (``kernels.standardize``).
 
 The extractors are randomly initialized stand-ins, not trained networks;
 the pipeline's guarantees are structural (shapes, fusion order, the
@@ -21,7 +21,7 @@ import numpy as np
 from . import tree
 from .attention import AttentionParams, attention_forward, attention_init
 from .errors import BadExtent, ShapeMismatch
-from .kernels import activation, concat_channels, conv2d
+from .kernels import activation, concat_channels, conv2d, conv_init, standardize
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,14 @@ class PipelineParams:
         return tree.astype(self, dtype)
 
 
-def _conv_init(rng, c_out, c_in, kh, kw):
-    k = 1.0 / np.sqrt(c_in * kh * kw)
-    return rng.uniform(-k, k, size=(c_out, c_in, kh, kw)), rng.uniform(-k, k, size=(c_out,))
-
-
 def init_pipeline(config: PipelineConfig) -> PipelineParams:
     rng = np.random.default_rng(config.seed)
     s1, s2 = config.scene_channels
     j1, j2 = config.joint_channels
-    scene1_w, scene1_b = _conv_init(rng, s1, 3, 3, 3)
-    scene2_w, scene2_b = _conv_init(rng, s2, s1, 3, 3)
-    joint1_w, joint1_b = _conv_init(rng, j1, 6, 3, 3)
-    joint2_w, joint2_b = _conv_init(rng, j2, j1, 3, 3)
+    scene1_w, scene1_b = conv_init(rng, s1, 3, 3, 3)
+    scene2_w, scene2_b = conv_init(rng, s2, s1, 3, 3)
+    joint1_w, joint1_b = conv_init(rng, j1, 6, 3, 3)
+    joint2_w, joint2_b = conv_init(rng, j2, j1, 3, 3)
     att1 = attention_init(int(rng.integers(2**32)))
     att2 = attention_init(int(rng.integers(2**32)))
     return PipelineParams(
@@ -88,26 +83,27 @@ def init_pipeline(config: PipelineConfig) -> PipelineParams:
     )
 
 
+def _frame(x, channels: int, cfg: PipelineConfig) -> np.ndarray:
+    x = np.asarray(x)
+    if x.shape != (channels, cfg.height, cfg.width):
+        raise ShapeMismatch(f"expected ({channels}, {cfg.height}, {cfg.width}), got {x.shape}")
+    return x
+
+
 def _stem(x, w, b):
     return activation(conv2d(x, w, b, stride=2, pad=1), "relu")
 
 
 def extract_scene(img: np.ndarray, params: PipelineParams) -> np.ndarray:
     """Single image (3, H, W) to a (C, H/4, W/4) feature map."""
-    img = np.asarray(img)
-    cfg = params.config
-    if img.shape != (3, cfg.height, cfg.width):
-        raise ShapeMismatch(f"expected (3, {cfg.height}, {cfg.width}), got {img.shape}")
+    img = _frame(img, 3, params.config)
     return _stem(_stem(img, params.scene1_w, params.scene1_b), params.scene2_w, params.scene2_b)
 
 
 def extract_motion(flow: np.ndarray, params: PipelineParams) -> np.ndarray:
     """Optical flow (2, H, W), zero-padded to 3 channels, through the same
     extractor as the scene features."""
-    flow = np.asarray(flow)
-    cfg = params.config
-    if flow.shape != (2, cfg.height, cfg.width):
-        raise ShapeMismatch(f"expected (2, {cfg.height}, {cfg.width}), got {flow.shape}")
+    flow = _frame(flow, 2, params.config)
     padded = np.concatenate([flow, np.zeros((1,) + flow.shape[1:], dtype=flow.dtype)])
     return extract_scene(padded, params)
 
@@ -119,30 +115,15 @@ def _attend(x: np.ndarray, att: AttentionParams) -> np.ndarray:
 
 def extract_joint(pair: np.ndarray, params: PipelineParams) -> np.ndarray:
     """Stacked frame pair (6, H, W) through stem + attention, twice."""
-    pair = np.asarray(pair)
-    cfg = params.config
-    if pair.shape != (6, cfg.height, cfg.width):
-        raise ShapeMismatch(f"expected (6, {cfg.height}, {cfg.width}), got {pair.shape}")
+    pair = _frame(pair, 6, params.config)
     x = _attend(_stem(pair, params.joint1_w, params.joint1_b), params.att1)
     return _attend(_stem(x, params.joint2_w, params.joint2_b), params.att2)
 
 
-def channel_standardize(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Zero mean, unit variance per channel over the spatial extent."""
-    x = np.asarray(x)
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
-
-
-def fuse(f_cur, f_prev, f_motion, f_joint, eps: float = 1e-6) -> np.ndarray:
-    """Standardize each stream, then concatenate channels in fixed order."""
-    maps = [np.asarray(m) for m in (f_cur, f_prev, f_motion, f_joint)]
-    spatial = maps[0].shape[1:]
-    for m in maps[1:]:
-        if m.shape[1:] != spatial:
-            raise ShapeMismatch(f"spatial extents differ: {m.shape[1:]} vs {spatial}")
-    return concat_channels([channel_standardize(m, eps) for m in maps])
+def fuse(f_cur, f_prev, f_motion, f_joint) -> np.ndarray:
+    """Concatenate channels in fixed order, then standardize each channel
+    over its spatial extent."""
+    return standardize(concat_channels([f_cur, f_prev, f_motion, f_joint]), (1, 2))
 
 
 def pipeline_forward(img_prev: np.ndarray, img_cur: np.ndarray, flow: np.ndarray,

@@ -17,7 +17,7 @@ from endotrack.cli import main as cli_main
 from endotrack.checks import finite_diff_grad
 from endotrack.losses import FlowPyramid
 
-from conftest import random_pose, random_unit_quat
+from helpers import random_pose, random_unit_quat
 
 
 def record(name: str, ok: bool, detail: str = ""):

@@ -122,6 +122,12 @@ class TestParseErrors:
         with pytest.raises(TrajectoryParseError, match="line 1"):
             parse_trajectory(f"unit=mm k={k}\n0 0 0 0 0 0 0 1\n")
 
+    # A repeated key is refused rather than resolved to one of its values.
+    @pytest.mark.parametrize("header, key", [("unit=mm unit=cm k=4", "unit"), ("k=4 unit=mm k=8", "k")])
+    def test_header_key_given_twice(self, header, key):
+        with pytest.raises(TrajectoryParseError, match=f"line 2: header key '{key}' given twice"):
+            parse_trajectory(f"# repeated key\n{header}\n0 0 0 0 0 0 0 1\n")
+
     def test_values_at_bound_accepted(self):
         traj = parse_trajectory("unit=mm k=4\n0 1e150 -1e150 0 0 0 1e150 1\n")
         assert traj.t[0, 0] == 1e150

@@ -10,7 +10,7 @@ from endotrack.errors import BadExtent, BadPenalty, InvalidQuaternion, ShapeMism
 from endotrack.checks import finite_diff_grad
 from endotrack.losses import FlowPyramid
 
-from conftest import random_pose, random_unit_quat
+from helpers import random_unit_quat
 
 
 def oracle_quat_log(q):

@@ -11,7 +11,7 @@ from scipy.spatial.transform import Rotation
 import endotrack as et
 from endotrack.errors import AlignmentError, UnitMismatch
 
-from conftest import random_pose, trajectory_of
+from helpers import random_pose, trajectory_of
 
 
 def pose_matrix(p):

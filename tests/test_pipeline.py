@@ -3,7 +3,7 @@ import pytest
 
 import endotrack as et
 from endotrack.errors import BadExtent, ShapeMismatch
-from endotrack.pipeline import channel_standardize
+from endotrack.kernels import standardize
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +83,16 @@ class TestFuse:
         assert et.fuse(*maps).shape == (8, 4, 4)
 
     def test_slices_recover_standardized_inputs(self, rng):
-        maps = [rng.standard_normal((3, 4, 4)) for _ in range(4)]
-        fused = et.fuse(*maps)
-        for i, m in enumerate(maps):
-            np.testing.assert_array_equal(fused[3 * i:3 * (i + 1)], channel_standardize(m))
+        # The last stream is a transposed (H, W, C) view, as the joint map
+        # comes back from attention; fuse must not depend on memory layout.
+        for hw in (4, 8, 16, 32):
+            maps = [rng.standard_normal((3, hw, hw)) for _ in range(3)]
+            maps.append(rng.standard_normal((hw, hw, 3)).transpose(2, 0, 1))
+            assert not maps[3].flags.c_contiguous
+            fused = et.fuse(*maps)
+            for i, m in enumerate(maps):
+                np.testing.assert_array_equal(fused[3 * i:3 * (i + 1)],
+                                              standardize(np.ascontiguousarray(m), (1, 2)))
 
     def test_constant_map_normalizes_to_zero(self, rng):
         maps = [np.full((2, 4, 4), 3.0)] + [rng.standard_normal((2, 4, 4)) for _ in range(3)]

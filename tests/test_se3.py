@@ -11,7 +11,7 @@ from endotrack.errors import NotARotation, ShapeMismatch, ZeroQuaternion
 from endotrack import se3
 from endotrack.se3 import vec_norm
 
-from conftest import random_pose, random_unit_quat
+from helpers import random_pose, random_unit_quat
 
 
 def rotmat_from_euler(rx, ry, rz):

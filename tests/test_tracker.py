@@ -7,7 +7,7 @@ import endotrack as et
 from endotrack import se3
 from endotrack.errors import LengthMismatch, ShapeMismatch
 
-from conftest import random_pose, trajectory_of
+from helpers import random_pose, trajectory_of
 from trajectory_oracle import chain_absolute_loop, chain_rebased_loop, synth_trajectory_loop
 
 
