@@ -18,8 +18,10 @@ from .errors import ShapeMismatch
 from .kernels import activation, conv2d, pool_last_axis
 from .kernels import permute  # noqa: F401  unused; perfbench/layers.py wraps attention.permute by name
 
-# Per branch: the (H, W, C) axis it pools; kernel shape and pad sliding its 1x3 conv along W, H, C.
-_BRANCHES = ((2, (1, 1, 1, 3), (0, 1)), (1, (1, 1, 3, 1), (1, 0)), (0, (1, 1, 1, 3), (0, 1)))
+# Per branch: the transpose of the (H, W, C) map that puts the pooled axis (C, W, H) last;
+# kernel shape and pad sliding its 1x3 conv along W, H, C.
+_BRANCHES = (((0, 1, 2), (1, 1, 1, 3), (0, 1)), ((0, 2, 1), (1, 1, 3, 1), (1, 0)),
+             ((1, 2, 0), (1, 1, 1, 3), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ def attention_maps(f0: np.ndarray, params: AttentionParams) -> tuple:
     if f0.ndim != 3:
         raise ShapeMismatch(f"expected a rank-3 (H,W,C) map, got shape {f0.shape}")
     maps = []
-    for branch, (axis, kernel_shape, pad) in enumerate(_BRANCHES):
-        view = np.moveaxis(f0, axis, -1)
+    for branch, (order, kernel_shape, pad) in enumerate(_BRANCHES):
+        view = f0.transpose(order)
         pooled = params.alpha * pool_last_axis(view, "max") + params.beta * pool_last_axis(view, "avg")
         w = params.conv_w[branch].reshape(kernel_shape)
         raw = conv2d(pooled[None, ..., 0], w, params.conv_b[branch], pad=pad)

@@ -39,8 +39,8 @@ BENCH_DECODER_CHANNELS = 12
 # Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
 # measured 1.36 GB peak RSS and 56 s on a 2-core Xeon.
 MAX_POSES = 10**6
-# Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.41 GB
-# peak RSS and 10 s on a 2-core Xeon (about 290 B a pixel).
+# Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.47 GB
+# peak RSS and 8 s on a 2-core Xeon (about 300 B a pixel).
 MAX_FRAME_PIXELS = 3840 * 2160
 
 

@@ -4,11 +4,17 @@ and the pose decoder, and the standardization and initializer they share.
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
 (C, H, W) layout; the attention block pools its (H, W, C) maps through views.
+``conv2d`` gathers without a per-tap loop: one strided view of the padded
+input holds every tap of every output position (an indirection buffer, as
+in Dukhan's Indirect Convolution Algorithm, with strides in place of the
+index table), and one copy of it is the operand of a single matmul.
 Every kernel here is pure and deterministic; ``conv_init`` draws from the
 generator it is given.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -17,12 +23,23 @@ from .errors import BadPermutation, ShapeMismatch
 # Added to the variance before the square root in every standardization.
 EPS = 1e-6
 
+# Per float dtype, the sigmoid's clip bounds: one ulp inside (0, 1).
+_SIGMOID_BOUNDS = {np.dtype(t): (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg)
+                   for t in (np.float32, np.float64)}
 
-def _pair(v) -> tuple[int, int]:
-    if np.isscalar(v):
-        return int(v), int(v)
-    a, b = v
-    return int(a), int(b)
+
+def _pair(v, name: str, least: int) -> tuple[int, int]:
+    """One integer >= ``least`` for both axes, or a pair of them; else ShapeMismatch naming ``name``."""
+    try:
+        a, b = (v, v) if isinstance(v, (int, np.integer)) else v
+        if isinstance(a, bool) or isinstance(b, bool):
+            raise TypeError
+        a, b = operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        a = b = least - 1
+    if a < least or b < least:
+        raise ShapeMismatch(f"{name} must be an integer >= {least} or a pair of them, got {v!r}")
+    return a, b
 
 
 def permute(x: np.ndarray, order) -> np.ndarray:
@@ -55,7 +72,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     """Grouped 2-D cross-correlation with zero padding.
 
     x: (C_in, H, W); w: (C_out, C_in/groups, kh, kw); b: (C_out,) or None.
-    Output spatial extent is floor((H + 2*pad - kh)/stride) + 1.
+    stride (>= 1) and pad (>= 0) are an integer or a (rows, columns) pair of
+    integers.  Output spatial extent is floor((H + 2*pad - kh)/stride) + 1.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -67,8 +85,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         raise ShapeMismatch(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_per_g != c_in // groups:
         raise ShapeMismatch(f"weight channel dim {c_per_g} != C_in/groups = {c_in // groups}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
+    sh, sw = _pair(stride, "stride", 1)
+    ph, pw = _pair(pad, "pad", 0)
     h_out = (h + 2 * ph - kh) // sh + 1
     w_out = (wd + 2 * pw - kw) // sw + 1
     if h_out < 1 or w_out < 1:
@@ -79,13 +97,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw), dtype=dtype)
         xp[:, ph:ph + h, pw:pw + wd] = x
     else:
-        xp = x
-    # Gathered im2col: copy every strided tap into one (C_in, kh, kw, H_out,
-    # W_out) buffer, then one (groups, C_out/g, K) @ (groups, K, H_out*W_out) matmul.
-    cols = np.empty((c_in, kh, kw, h_out, w_out), dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+        xp = np.ascontiguousarray(x, dtype=dtype)
+    # Gathered im2col: one (C_in, kh, kw, H_out, W_out) view of the padded
+    # input, whose tap axes step one row/column and whose output axes step a
+    # stride (numpy refuses it if it reaches outside xp), copied once into a
+    # C-contiguous buffer; then one (groups, C_out/g, K) @ (groups, K,
+    # H_out*W_out) matmul.  The copy is what keeps the bits: reshaping the
+    # view itself can hand matmul an operand whose rows overlap.
+    s0, s1, s2 = xp.strides
+    taps = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, xp, 0, (s0, s1, s2, s1 * sh, s2 * sw))
+    cols = np.ascontiguousarray(taps)
     k = c_per_g * kh * kw
     out = w.astype(dtype, copy=False).reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
     out = out.reshape(c_out, h_out, w_out)
@@ -100,9 +121,19 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
 def standardize(x: np.ndarray, axis) -> np.ndarray:
     """Zero mean, unit variance over ``axis``: (x - mean) / sqrt(var + EPS)."""
     x = np.asarray(x)
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    return (x - mu) / np.sqrt(var + EPS)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    # numpy's own mean and var steps (sum, then divide by the intp count in
+    # place), with the mean taken once and its deviations kept for the output.
+    mu = np.add.reduce(x, axis=axis, keepdims=True)
+    n = np.intp(x.size // max(mu.size, 1))
+    np.true_divide(mu, n, out=mu, casting="unsafe")
+    d = x - mu
+    var = np.add.reduce(np.square(d), axis=axis, keepdims=True)
+    np.true_divide(var, n, out=var, casting="unsafe")
+    var += EPS
+    d /= np.sqrt(var, out=var)
+    return d
 
 
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -129,13 +160,14 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0)
     if kind == "sigmoid":
-        dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-        x = x.astype(dtype, copy=False)
+        lo, hi = _SIGMOID_BOUNDS.get(x.dtype, _SIGMOID_BOUNDS[np.dtype(np.float64)])
+        x = x.astype(lo.dtype, copy=False)
         # exp(-|x|) never overflows; minimum(x, -x) is -|x| that keeps a NaN's sign.
         e = np.exp(np.minimum(x, -x))
-        out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        info = np.finfo(dtype)
-        return np.clip(out, info.tiny, 1.0 - info.epsneg)
+        out = np.where(x >= 0, 1.0, e)
+        out /= np.add(e, 1.0, out=e)
+        np.maximum(out, lo, out=out)
+        return np.minimum(out, hi, out=out)
     raise ValueError(f"unknown activation kind {kind!r}")
 
 

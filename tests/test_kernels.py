@@ -1,5 +1,7 @@
 """Kernel tests: every vectorized kernel is compared against a naive
-nested-loop implementation written here, independent of the package."""
+nested-loop implementation written here, independent of the package.
+conv2d, standardize, the sigmoid and pooling are also pinned bit for bit
+to the step-by-step formulas written here."""
 
 import math
 
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from endotrack import kernels
+from endotrack import attention, decoder, kernels, pipeline
 from endotrack.checks import finite_diff_grad
 from endotrack.errors import BadPermutation, NonFiniteFunction, ShapeMismatch
 
@@ -48,6 +50,73 @@ def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
                             acc += xp[g * c_per_g + c, i * sh + u, j * sw + v] * w[o, c, u, v]
                 out[o, i, j] = acc + (b[o] if b is not None else 0.0)
     return out
+
+
+def gather_conv2d(x, w, b=None, stride=1, pad=0, groups=1):
+    """The per-tap gather: each of the kh*kw strided taps copied into one
+    (C_in, kh, kw, H_out, W_out) buffer, then the same (groups, C_out/g, K) @
+    (groups, K, H_out*W_out) matmul as conv2d, so their bits must agree."""
+    x, w = np.asarray(x), np.asarray(w)
+    c_in, h, wd = x.shape
+    c_out, c_per_g, kh, kw = w.shape
+    sh, sw = (stride, stride) if np.isscalar(stride) else stride
+    ph, pw = (pad, pad) if np.isscalar(pad) else pad
+    h_out = (h + 2 * ph - kh) // sh + 1
+    w_out = (wd + 2 * pw - kw) // sw + 1
+    dtype = np.result_type(x, w)
+    if ph or pw:
+        xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw), dtype=dtype)
+        xp[:, ph:ph + h, pw:pw + wd] = x
+    else:
+        xp = x
+    cols = np.empty((c_in, kh, kw, h_out, w_out), dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+    k = c_per_g * kh * kw
+    out = w.astype(dtype, copy=False).reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
+    out = out.reshape(c_out, h_out, w_out)
+    if b is not None:
+        out += np.asarray(b)[:, None, None].astype(dtype, copy=False)
+    return out
+
+
+def frame_conv_calls(size, dtype):
+    """Every conv2d call (x, w, b, keywords) of one frame pair through the
+    pipeline and the decoder at size x size."""
+    calls = []
+
+    def record(x, w, b=None, **kw):
+        calls.append((x, w, b, kw))
+        return kernels.conv2d(x, w, b, **kw)
+
+    cfg = pipeline.PipelineConfig(height=size, width=size)
+    params = pipeline.init_pipeline(cfg).astype(dtype)
+    dec = decoder.decoder_init(cfg.fused_channels, 12, seed=1).astype(dtype)
+    r = np.random.default_rng(size)
+    prev, cur, flow = (r.standard_normal((c, size, size)).astype(dtype) for c in (3, 3, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (pipeline, attention, decoder):
+            mp.setattr(module, "conv2d", record)
+        decoder.decoder_forward(pipeline.pipeline_forward(prev, cur, flow, params), dec)
+    return calls
+
+
+def standardize_formula(x, axis):
+    return (x - x.mean(axis=axis, keepdims=True)) / np.sqrt(x.var(axis=axis, keepdims=True)
+                                                           + kernels.EPS)
+
+
+def sigmoid_formula(x):
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    info = np.finfo(x.dtype)
+    return np.clip(out, info.tiny, 1.0 - info.epsneg)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
 
 
 def loop_layernorm(x, gamma, beta, eps):
@@ -102,6 +171,19 @@ class TestPool:
         x = rng.standard_normal((4, 5, 6))
         for kind in ("max", "avg"):
             assert_close(kernels.pool_last_axis(x, kind), loop_pool_last(x, kind))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_branch_views_bitwise(self, rng, dtype):
+        f0 = rng.standard_normal((8, 16, 12)).astype(dtype).transpose(1, 2, 0)
+        for order in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            view = f0.transpose(order)
+            assert_same_bits(kernels.pool_last_axis(view, "max"), view.max(axis=-1, keepdims=True))
+            assert_same_bits(kernels.pool_last_axis(view, "avg"), view.mean(axis=-1, keepdims=True))
+
+    def test_integer_mean_is_float64(self):
+        out = kernels.pool_last_axis(np.array([[1, 2], [3, 6]]), "avg")
+        assert_same_bits(out, np.array([[1.5], [4.5]]))
 
 
 class TestConv2d:
@@ -164,6 +246,86 @@ class TestConv2d:
             kernels.conv2d(x, rng.standard_normal((4, 4, 1, 1)), b=np.zeros(3))
 
 
+    @pytest.mark.parametrize("kw", [
+        {"stride": 0}, {"stride": -1}, {"stride": 1.5}, {"stride": True}, {"stride": (2, 0)},
+        {"stride": (1, 2, 1)}, {"stride": None}, {"pad": -1}, {"pad": (0, -1)}, {"pad": 0.5},
+        {"pad": "1"}, {"pad": np.array(1)},
+    ], ids=repr)
+    def test_bad_stride_or_pad_names_it(self, rng, kw):
+        (name,) = kw
+        with pytest.raises(ShapeMismatch, match=f"^{name} must be an integer"):
+            kernels.conv2d(rng.standard_normal((2, 6, 6)), rng.standard_normal((2, 2, 3, 3)), **kw)
+
+    def test_integer_like_stride_and_pad(self, rng):
+        x = rng.standard_normal((2, 9, 8))
+        w = rng.standard_normal((2, 2, 3, 3))
+        expect = kernels.conv2d(x, w, stride=2, pad=1)
+        for stride, pad in ((np.int64(2), np.int32(1)), ([2, 2], (1, 1)), (np.array([2, 2]), 1)):
+            assert_same_bits(kernels.conv2d(x, w, stride=stride, pad=pad), expect)
+
+
+class TestConvBitExact:
+    """conv2d against the per-tap gather oracle, bit for bit."""
+
+    @pytest.mark.parametrize("size", [16, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_frame_path_conv(self, size, dtype):
+        calls = frame_conv_calls(size, dtype)
+        assert len(calls) == 22
+        for x, w, b, kw in calls:
+            assert_same_bits(kernels.conv2d(x, w, b, **kw), gather_conv2d(x, w, b, **kw))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unpadded_non_contiguous_input(self, rng, dtype):
+        a = rng.standard_normal((6, 11, 9)).astype(dtype)
+        w = rng.standard_normal((6, 2, 3, 2)).astype(dtype)
+        b = rng.standard_normal(6).astype(dtype)
+        readonly = a.copy()
+        readonly.flags.writeable = False
+        for x in (a.transpose(0, 2, 1), np.ascontiguousarray(a.transpose(2, 1, 0)).transpose(2, 1, 0),
+                  a[:, ::2, 1:], readonly):
+            for stride in (1, (2, 1)):
+                assert_same_bits(kernels.conv2d(x, w, b, stride=stride, groups=3),
+                                 gather_conv2d(x, w, b, stride=stride, groups=3))
+
+    def test_f32_input_f64_weights(self, rng):
+        x = rng.standard_normal((6, 10, 10)).astype(np.float32)
+        w = rng.standard_normal((6, 2, 7, 7))
+        b = rng.standard_normal(6)
+        for pad in (0, 3):
+            out = kernels.conv2d(x, w, b, pad=pad, groups=3)
+            assert out.dtype == np.float64
+            assert_same_bits(out, gather_conv2d(x, w, b, pad=pad, groups=3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_3x1_kernel(self, rng, dtype):
+        # The (H, C) branch: a 1x3 kernel turned to slide along H, on a plane as wide as C.
+        x = rng.standard_normal((1, 32, 8)).astype(dtype)
+        w = rng.standard_normal((1, 1, 3, 1)).astype(dtype)
+        b = rng.standard_normal(1).astype(dtype)
+        assert_same_bits(kernels.conv2d(x, w, b, pad=(1, 0)), gather_conv2d(x, w, b, pad=(1, 0)))
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, (1, 2)])
+    def test_matches_mean_var_formula_bitwise(self, rng, dtype, axis):
+        fused = (3.0 * rng.standard_normal((32, 16, 16)) + 1.0).astype(dtype)
+        # The joint stream arrives as a (C, H, W) view of an (H, W, C) map.
+        joint = rng.standard_normal((16, 16, 8)).astype(dtype).transpose(2, 0, 1)
+        for x in (fused, joint):
+            assert_same_bits(kernels.standardize(x, axis), standardize_formula(x, axis))
+
+    def test_integer_input_is_float64(self):
+        x = np.arange(24).reshape(2, 3, 4)
+        assert_same_bits(kernels.standardize(x, (1, 2)), standardize_formula(x, (1, 2)))
+
+    def test_zero_size_input(self):
+        for shape, axis in (((0, 3, 3), (1, 2)), ((2, 0, 3), 0)):
+            x = np.zeros(shape, np.float32)
+            assert_same_bits(kernels.standardize(x, axis), standardize_formula(x, axis))
+
+
 class TestLayernorm:
     def test_constant_input_zeros(self):
         x = np.full((3, 4, 4), 7.0)
@@ -207,6 +369,18 @@ class TestActivation:
         info = np.finfo(np.float64)
         assert out[-2] == info.tiny and out[-1] == 1.0 - info.epsneg
         assert np.isnan(kernels.activation(np.array([np.nan]), "sigmoid")[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_branch_formula_bitwise(self, rng, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 17.0, -17.0, 40.0, -40.0,
+                      88.0, -88.0, 104.0, -104.0, 745.0, -745.0, 1e300, -1e300], np.float64)
+        with np.errstate(over="ignore"):
+            x = np.concatenate([x.astype(dtype), (30.0 * rng.standard_normal(200)).astype(dtype)])
+        assert_same_bits(kernels.activation(x, "sigmoid"), sigmoid_formula(x))
+
+    def test_sigmoid_integer_input_is_float64(self):
+        x = np.arange(-40, 41, 5)
+        assert_same_bits(kernels.activation(x, "sigmoid"), sigmoid_formula(x.astype(np.float64)))
 
     def test_sigmoid_log_domain_oracle(self):
         # exp(x - log(1 + exp(x))) evaluated in log space for x << 0.
@@ -320,3 +494,4 @@ def test_conv_oracle_random_shapes(seed, groups, c_per_g, og, kh, kw, stride, pa
     out = kernels.conv2d(x, wts, b, stride=stride, pad=pad, groups=groups)
     expect = loop_conv2d(x, wts, b, stride=stride, pad=pad, groups=groups)
     np.testing.assert_allclose(out, expect, rtol=RELTOL, atol=1e-13)
+    assert_same_bits(out, gather_conv2d(x, wts, b, stride=stride, pad=pad, groups=groups))
