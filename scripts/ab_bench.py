@@ -9,9 +9,11 @@ that copy ("parent") and in the working tree ("change"), one pair per seed
 1..10 for each workload.  Odd pairs run the parent first, even pairs the
 change.  After every run it rewrites ``--out``
 with every run so far and, for each workload and each end-to-end metric named
-in ``BENCHMARK.json``, both sides' quartiles, the pairs the change won and
-the relative change of the medians.  Nothing under ``perfbench/`` is
-imported or written to, apart from the results perfbench writes itself.
+in ``BENCHMARK.json``, both sides' quartiles, the pairs the change won, the
+relative change of the medians and the median of the per-pair ratios (change
+over parent), which cancels load that both runs of a pair share.  Nothing
+under ``perfbench/`` is imported or written to, apart from the results
+perfbench writes itself.
 Needs a Python whose ``tarfile`` has extraction filters (3.10.12, 3.11.4,
 3.12 or later).
 """
@@ -72,7 +74,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             base = statistics.median(values["parent"])
             rel = (statistics.median(values["change"]) - base) / base
-            entry[m["name"]] = {**stats, "change_better_pairs": wins, "median_change_rel": round(rel, 3)}
+            ratio = statistics.median(c / p for p, c in zip(values["parent"], values["change"]))
+            entry[m["name"]] = {**stats, "change_better_pairs": wins, "median_change_rel": round(rel, 3),
+                                "median_pair_ratio": round(ratio, 4)}
         summary[workload] = entry
     return summary
 

@@ -11,6 +11,10 @@ Conventions, fixed once for the whole package:
   the fixed world axes.
 * Every function but ``quat_log`` broadcasts over leading axes (q (..., 4),
   R (..., 3, 3), t (..., 3)); each row of a stack comes out bit for bit as alone.
+* ``Pose(...)`` converts and checks its arrays.  The private ``_pose`` skips
+  both and may only wrap arrays that are already float64 with R (..., 3, 3)
+  and t (..., 3) over the same leading axes: ``pose_compose``'s own results
+  and rows of a ``Trajectory`` or of other arrays built that way.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ class Pose:
             raise ShapeMismatch(f"translation must be a 3-vector per rotation, got {t.shape}")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
+
+
+def _pose(R: np.ndarray, t: np.ndarray, unit: str) -> Pose:
+    """A Pose around float64 R (..., 3, 3) and t (..., 3) as given: no conversion, no checks."""
+    p = object.__new__(Pose)
+    fields = p.__dict__
+    fields["R"], fields["t"], fields["unit"] = R, t, unit
+    return p
 
 
 @dataclass(frozen=True)
@@ -175,11 +187,16 @@ def euler_from_rotmat(R) -> tuple:
     return rx[()], ry[()], rz[()]
 
 
-def _ortho_defect(R: np.ndarray) -> np.ndarray:
-    """Largest |R'R - I| entry per rotation; the subtract and abs reuse R'R's buffer."""
+def _ortho_residual(R: np.ndarray) -> np.ndarray:
+    """|R'R - I| entrywise; the subtract and abs reuse R'R's buffer."""
     D = R.mT @ R
     D -= _EYE3
-    return np.abs(D, out=D).max(axis=(-2, -1))
+    return np.abs(D, out=D)
+
+
+def _ortho_defect(R: np.ndarray) -> np.ndarray:
+    """Largest |R'R - I| entry per rotation."""
+    return _ortho_residual(R).max(axis=(-2, -1))
 
 
 def check_rotation(R, tol: float = 1e-6) -> None:
@@ -209,10 +226,14 @@ def pose_compose(a: Pose, b: Pose) -> Pose:
     """
     R = a.R @ b.R
     t = np.matvec(a.R, b.t) + a.t
-    drifted = _ortho_defect(R) > ORTHO_TOL
-    if drifted.any():
-        R[drifted] = orthonormalize(R[drifted])
-    return Pose(R, t, a.unit)
+    D = _ortho_residual(R)
+    # One test for the whole stack.  A NaN fails it too and reaches the
+    # per-rotation test, where it compares false and stays unrepaired.
+    if not D.max(initial=0.0) <= ORTHO_TOL:
+        drifted = D.max(axis=(-2, -1)) > ORTHO_TOL
+        if drifted.any():
+            R[drifted] = orthonormalize(R[drifted])
+    return _pose(R, t, a.unit)
 
 
 def pose_inverse(p: Pose) -> Pose:

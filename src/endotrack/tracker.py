@@ -9,11 +9,12 @@ per-step relative error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
-from .se3 import (Pose, identity_pose, orthonormalize, pose_compose, relative_pose,
+from .errors import LengthMismatch, ShapeMismatch, UnitMismatch
+from .se3 import (Pose, _pose, identity_pose, orthonormalize, pose_compose, relative_pose,
                   rotmat_from_axis_angle, vec_norm)
 
 # Unconditional re-orthonormalization cadence for long chains.
@@ -53,7 +54,7 @@ class Trajectory:
 
     @property
     def poses(self) -> tuple:
-        return tuple(Pose(R, t, self.unit) for R, t in zip(self.R, self.t))
+        return tuple(_pose(R, t, self.unit) for R, t in zip(self.R, self.t))
 
     def relatives(self) -> Trajectory:
         """Exact relative poses between consecutive frames, indexed by the later frame."""
@@ -86,15 +87,20 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE, start: i
 
     Rotations are re-orthonormalized every RENORM_EVERY steps (plus the
     tolerance-triggered fix inside pose_compose) so thousand-step chains
-    stay valid.
+    stay valid.  Raises ShapeMismatch unless p0 is a single pose and
+    UnitMismatch unless p0 and rels share a unit.
     """
+    if p0.R.shape != (3, 3):
+        raise ShapeMismatch(f"p0 must be a single pose, got R {p0.R.shape}")
+    if p0.unit != rels.unit:
+        raise UnitMismatch(f"p0 unit {p0.unit!r} vs rels unit {rels.unit!r}")
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
     for i, (rel_R, rel_t) in enumerate(zip(rels.R, rels.t), start=1):
-        cur = pose_compose(cur, Pose(rel_R, rel_t, rels.unit))
+        cur = pose_compose(cur, _pose(rel_R, rel_t, rels.unit))
         if i % RENORM_EVERY == 0:
-            cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
+            cur = _pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
     return Trajectory(R, t, k, p0.unit, start)
 
@@ -103,16 +109,22 @@ def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
     """Compose each estimated relative onto the ground-truth previous pose.
 
     Per-step errors do not accumulate; the first pose is the ground truth
-    initial pose.  Raises LengthMismatch unless len(rels) == len(gt) - 1.
+    initial pose.  Raises LengthMismatch unless len(rels) == len(gt) - 1
+    and UnitMismatch unless gt and rels share a unit.
     """
     if len(rels) != len(gt) - 1:
         raise LengthMismatch(f"{len(rels)} relatives for a {len(gt)}-pose trajectory")
+    if gt.unit != rels.unit:
+        raise UnitMismatch(f"gt unit {gt.unit!r} vs rels unit {rels.unit!r}")
     R, t = gt.R.copy(), gt.t.copy()
-    for i in range(1, len(gt)):
-        step = pose_compose(Pose(gt.R[i - 1], gt.t[i - 1], gt.unit),
-                            Pose(rels.R[i - 1], rels.t[i - 1], rels.unit))
+    for i, (gt_R, gt_t, rel_R, rel_t) in enumerate(zip(gt.R, gt.t, rels.R, rels.t), start=1):
+        step = pose_compose(_pose(gt_R, gt_t, gt.unit), _pose(rel_R, rel_t, rels.unit))
         R[i], t[i] = step.R, step.t
     return Trajectory(R, t, gt.k, gt.unit, gt.start)
+
+
+def _momentum(prev: float, noise: float) -> float:
+    return 0.8 * prev + 0.2 * noise
 
 
 def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
@@ -132,27 +144,33 @@ def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
     if not (np.isfinite(smoothness) and smoothness > 0):
         raise ShapeMismatch(f"smoothness must be finite and positive, got {smoothness}")
     rng = np.random.default_rng(seed)
-    # Columns 0-2 hold the heading, 3-5 the axis: row 0 their initial values,
-    # row i step i's noise until the momentum filter overwrites it in place.
-    filtered, length, angle = np.empty((n, 6)), np.empty(n), np.empty(n)
-    rng.standard_normal(out=filtered[0, :3])
-    rng.standard_normal(out=filtered[0, 3:])
-    # The uniform sits between the normals of a step, so the draws stay per step.
-    for i in range(1, n):
-        rng.standard_normal(out=filtered[i, :3])
-        length[i] = rng.uniform(0.25, 1.0)
-        rng.standard_normal(out=filtered[i, 3:])
-        angle[i] = rng.normal(0.0, 0.03)
-        filtered[i] = 0.8 * filtered[i - 1] + 0.2 * filtered[i]
-    heading, axis = filtered[1:, :3], filtered[1:, 3:]
+    # Row 0: the initial heading (columns 0-2) and axis (3-5); its column 6 is
+    # never filled.  Row i: step i's heading noise, axis noise and angle normal.
+    z, u = np.empty((n, 7)), np.empty(n - 1)
+    flat = z.reshape(-1)
+    rng.standard_normal(out=flat[:6])
+    rng.standard_normal(out=flat[7:10])
+    # Step i's axis and angle normals and step i+1's heading normals follow each
+    # other in the stream and in flat, so each step is one uniform and one block.
+    for i in range(1, n - 1):
+        u[i - 1] = rng.random()
+        rng.standard_normal(out=flat[7 * i + 3:7 * i + 10])
+    u[n - 2] = rng.random()
+    rng.standard_normal(out=flat[7 * n - 4:])
+    # The momentum filter on Python floats rounds as float64 arrays do.
+    for col in range(6):
+        z[:, col] = list(accumulate(z[:, col].tolist(), _momentum))
+    heading, axis = z[1:, :3], z[1:, 3:6]
     direction = heading / np.maximum(vec_norm(heading), 1e-12)[:, None]
-    step_t = (smoothness * length[1:])[:, None] * direction
-    step_R = rotmat_from_axis_angle(axis, np.abs(angle[1:]))
+    # rng.uniform(0.25, 1.0) is 0.25 + 0.75 * rng.random(), and rng.normal(0.0, 0.03)
+    # is 0.0 + 0.03 * z: 0.03 * z up to the sign of a zero, which abs drops.
+    step_t = (smoothness * (0.25 + 0.75 * u))[:, None] * direction
+    step_R = rotmat_from_axis_angle(axis, np.abs(0.03 * z[1:, 6]))
     cur = identity_pose(unit)
     R, t = np.empty((n, 3, 3)), np.empty((n, 3))
     R[0], t[0] = cur.R, cur.t
-    for i in range(1, n):
-        cur = pose_compose(cur, Pose(step_R[i - 1], step_t[i - 1], unit))
+    for i, (step_Ri, step_ti) in enumerate(zip(step_R, step_t), start=1):
+        cur = pose_compose(cur, _pose(step_Ri, step_ti, unit))
         R[i], t[i] = cur.R, cur.t
     return Trajectory(R, t, k, unit)
 

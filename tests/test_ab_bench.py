@@ -52,6 +52,17 @@ def test_wins_ties_and_relative_change():
     assert w["fps"]["median_change_rel"] > 0
 
 
+def test_median_of_per_pair_ratios():
+    w = ab_bench.summarize(runs(), METRICS)["w"]
+    # Ratios 0.8, 1.0, 7/11, 16/15 and 6/9: the median is pair 1's 0.8, not
+    # the ratio of the medians, 8/11.
+    assert w["step_ms_best"]["median_pair_ratio"] == 0.8
+    # fps = 100 / step, so each fps ratio is the inverse of a step ratio.
+    assert w["fps"]["median_pair_ratio"] == 1.25
+    v = ab_bench.summarize(runs(), METRICS)["v"]
+    assert v["step_ms_best"]["median_pair_ratio"] == 0.5 and v["fps"]["median_pair_ratio"] == 1.0
+
+
 def test_pairs_correctness_and_failures():
     summary = ab_bench.summarize(runs(), METRICS)
     assert list(summary) == ["w", "v"]

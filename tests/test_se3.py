@@ -11,7 +11,8 @@ from endotrack.errors import NotARotation, ShapeMismatch, ZeroQuaternion
 from endotrack import se3
 from endotrack.se3 import vec_norm
 
-from helpers import random_pose, random_unit_quat
+from helpers import random_pose, random_unit_quat, trajectory_of
+from trajectory_oracle import pose_compose_reference
 
 
 def rotmat_from_euler(rx, ry, rz):
@@ -227,6 +228,112 @@ class TestOrthoDefect:
         assert a.R.flags.writeable and a.R is not b.R and a.R is not se3._EYE3
         a.R[0, 0] = 2.0
         assert np.array_equal(b.R, np.eye(3)) and np.array_equal(et.identity_pose().R, np.eye(3))
+
+
+def assert_checked_pose(p, unit):
+    """p holds what Pose(p.R, p.t, unit) would: float64 R (..., 3, 3) and t (..., 3)."""
+    assert type(p) is et.Pose and p.unit == unit
+    assert type(p.R) is np.ndarray and type(p.t) is np.ndarray
+    assert p.R.dtype == np.float64 and p.t.dtype == np.float64
+    assert p.R.shape[-2:] == (3, 3) and p.t.shape == p.R.shape[:-2] + (3,)
+    again = et.Pose(p.R, p.t, unit)
+    assert np.array_equal(again.R, p.R, equal_nan=True) and np.array_equal(again.t, p.t, equal_nan=True)
+
+
+class TestComposeAgainstReference:
+    """pose_compose's one whole-stack drift test equals the per-rotation test bit for bit."""
+
+    @staticmethod
+    def assert_same(a, b):
+        with np.errstate(invalid="ignore"):
+            got, want = et.pose_compose(a, b), pose_compose_reference(a, b)
+        assert got.R.shape == want.R.shape and got.t.shape == want.t.shape
+        assert np.array_equal(got.R, want.R, equal_nan=True)
+        assert np.array_equal(got.t, want.t, equal_nan=True)
+        assert got.unit == want.unit
+        assert_checked_pose(got, a.unit)
+        return got
+
+    @staticmethod
+    def scaled(rng, n, scale):
+        """n rotations times (1 + scale): a drift of about 2 * scale each."""
+        return random_rotations(rng, n) * (1.0 + scale)
+
+    def test_single_and_stacked(self, rng):
+        for _ in range(20):
+            self.assert_same(random_pose(rng, unit="cm"), random_pose(rng, unit="cm"))
+        A = et.Pose(random_rotations(rng, 30), rng.standard_normal((30, 3)))
+        B = et.Pose(random_rotations(rng, 30), rng.standard_normal((30, 3)))
+        self.assert_same(A, B)
+        nested = et.Pose(random_rotations(rng, 6).reshape(2, 3, 3, 3), rng.standard_normal((2, 3, 3)))
+        self.assert_same(nested, nested)
+
+    def test_broadcasts_both_ways(self, rng):
+        stack = et.Pose(self.scaled(rng, 8, 1e-7), rng.standard_normal((8, 3)))
+        one = random_pose(rng)
+        assert self.assert_same(stack, one).R.shape == (8, 3, 3)
+        assert self.assert_same(one, stack).R.shape == (8, 3, 3)
+
+    def test_drift_just_above_and_below_tolerance(self, rng):
+        ident = et.identity_pose()
+        above, below = 0.75 * se3.ORTHO_TOL, 0.25 * se3.ORTHO_TOL
+        R = np.concatenate([self.scaled(rng, 3, above), self.scaled(rng, 3, below)])
+        defect = se3._ortho_defect(R)
+        assert (defect[:3] > se3.ORTHO_TOL).all() and (defect[3:] < se3.ORTHO_TOL).all()
+        out = self.assert_same(et.Pose(R, np.zeros((6, 3))), ident)
+        assert not np.array_equal(out.R[:3], R[:3]) and np.array_equal(out.R[3:], R[3:])
+        # Every row below the tolerance: the whole-stack test alone decides.
+        assert np.array_equal(self.assert_same(et.Pose(R[3:], np.zeros((3, 3))), ident).R, R[3:])
+        for i in (0, 4):
+            self.assert_same(et.Pose(R[i], np.zeros(3)), ident)
+
+    def test_empty_stack(self):
+        empty = et.Pose(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        out = self.assert_same(empty, empty)
+        assert out.R.shape == (0, 3, 3) and out.t.shape == (0, 3)
+
+    def test_nan_row_left_unrepaired(self, rng):
+        ident = et.identity_pose()
+        R = self.scaled(rng, 4, 1e-7)
+        R[1, 0, 2] = np.nan
+        out = self.assert_same(et.Pose(R, np.zeros((4, 3))), ident)
+        # The drifted rows beside the NaN row are still repaired.
+        assert np.isnan(out.R[1]).any() and not np.isnan(out.R[[0, 2, 3]]).any()
+        assert np.array_equal(out.R[[0, 2, 3]], et.orthonormalize(R[[0, 2, 3]]))
+        self.assert_same(et.Pose(R[1], np.zeros(3)), ident)
+
+
+class TestUncheckedConstructor:
+    """Poses built without __post_init__ hold what the checked constructor would build."""
+
+    def test_compose_inverse_and_relative(self, rng):
+        a, b = random_pose(rng, unit="cm"), random_pose(rng, unit="cm")
+        for p in (et.pose_compose(a, b), et.relative_pose(a, b), et.pose_compose(a, et.pose_inverse(a))):
+            assert_checked_pose(p, "cm")
+
+    def test_trajectory_rows(self, rng):
+        traj = trajectory_of([random_pose(rng, unit="cm") for _ in range(5)], k=2, start=4)
+        poses = traj.poses
+        assert len(poses) == 5
+        for i, p in enumerate(poses):
+            assert_checked_pose(p, "cm")
+            assert np.array_equal(p.R, traj.R[i]) and np.array_equal(p.t, traj.t[i])
+
+    def test_chains(self, rng):
+        gt = et.synth_trajectory(70, seed=5, unit="cm", k=3)
+        rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.01, seed=6))
+        for traj in (et.chain_absolute(gt.poses[0], rels, k=3), et.chain_rebased(gt, rels), gt):
+            assert traj.R.flags.c_contiguous and traj.t.flags.c_contiguous
+            for p in traj.poses:
+                assert_checked_pose(p, "cm")
+
+    def test_public_pose_still_converts_and_checks(self):
+        p = et.Pose(np.eye(3, dtype=np.int32), [1, 2, 3], "cm")
+        assert_checked_pose(p, "cm")
+        with pytest.raises(ShapeMismatch):
+            et.Pose(np.eye(3)[:2], np.zeros(3))
+        with pytest.raises(ShapeMismatch):
+            et.Pose(np.eye(3), np.zeros((1, 3)))
 
 
 class TestEuler:

@@ -5,7 +5,7 @@ import pytest
 
 import endotrack as et
 from endotrack import se3
-from endotrack.errors import LengthMismatch, ShapeMismatch
+from endotrack.errors import LengthMismatch, ShapeMismatch, UnitMismatch
 
 from helpers import random_pose, trajectory_of
 from trajectory_oracle import chain_absolute_loop, chain_rebased_loop, synth_trajectory_loop
@@ -77,6 +77,18 @@ class TestChainAbsolute:
         assert traj.frames == (10, 12, 14, 16)
         assert traj.unit == "cm"
 
+    def test_mixed_units_refused(self, rng):
+        rels = trajectory_of([random_pose(rng, unit="mm")] * 3)
+        with pytest.raises(UnitMismatch, match="p0 unit 'cm' vs rels unit 'mm'"):
+            et.chain_absolute(random_pose(rng, unit="cm"), rels)
+
+    def test_stacked_start_pose_refused(self, rng):
+        rels = trajectory_of([random_pose(rng)] * 3)
+        for n in (1, 2, 4):
+            p0 = et.Pose(np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3)))
+            with pytest.raises(ShapeMismatch, match=r"p0 must be a single pose, got R \(%d, 3, 3\)" % n):
+                et.chain_absolute(p0, rels)
+
 
 class TestChainRebased:
     def test_exact_relatives_reproduce_gt(self):
@@ -88,6 +100,13 @@ class TestChainRebased:
         gt = et.synth_trajectory(5, seed=0)
         with pytest.raises(LengthMismatch):
             et.chain_rebased(gt, trajectory_of(gt.relatives().poses[:-1]))
+
+    def test_mixed_units_refused(self):
+        gt = et.synth_trajectory(5, seed=0, unit="cm")
+        exact = gt.relatives()
+        rels = et.Trajectory(exact.R, exact.t, exact.k, "mm", exact.start)
+        with pytest.raises(UnitMismatch, match="gt unit 'cm' vs rels unit 'mm'"):
+            et.chain_rebased(gt, rels)
 
     def test_single_step_equals_chained(self, rng):
         gt = et.synth_trajectory(2, seed=8)

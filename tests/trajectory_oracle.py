@@ -1,15 +1,27 @@
-"""Per-step references for the trajectory loops.
+"""Per-step references for the trajectory loops and the pose composition.
 
 ``synth_trajectory_loop`` draws, filters, normalizes and composes one step at
 a time; ``chain_absolute_loop`` and ``chain_rebased_loop`` compose the
 per-pose ``Trajectory.poses`` views.  endotrack.tracker batches everything
 but the compose recurrence and reads array rows; tests require equal bits.
+``pose_compose_reference`` tests every rotation's drift on its own and builds
+a checked ``Pose``; ``se3.pose_compose`` must equal it bit for bit.
 """
 
 import numpy as np
 
-from endotrack.se3 import Pose, identity_pose, orthonormalize, pose_compose, rotmat_from_axis_angle
+from endotrack.se3 import (ORTHO_TOL, Pose, _ortho_defect, identity_pose, orthonormalize,
+                           pose_compose, rotmat_from_axis_angle)
 from endotrack.tracker import DEFAULT_STRIDE, RENORM_EVERY, Trajectory
+
+
+def pose_compose_reference(a: Pose, b: Pose) -> Pose:
+    R = a.R @ b.R
+    t = np.matvec(a.R, b.t) + a.t
+    drifted = _ortho_defect(R) > ORTHO_TOL
+    if drifted.any():
+        R[drifted] = orthonormalize(R[drifted])
+    return Pose(R, t, a.unit)
 
 
 def synth_trajectory_loop(n: int, smoothness: float = 1.0, seed: int = 0,
