@@ -1,11 +1,11 @@
 """Multi-dimensional attention: three branches, each pooling one axis of a map.
 
-The branches pool an (H, W, C) map over C, W and H (max and mean, blended
-by the learnable scalars alpha and beta) into (H, W), (H, C) and (W, C)
-planes.  Each plane goes through its branch's 1x3 convolution, sliding
-along W, H and C respectively, and a sigmoid, giving a 2-D attention map.
-The input is scaled by the mean of the three maps, each broadcast along
-the axis its branch pooled.
+The branches pool a (C, H, W) map over C, W and H (a blend of max and mean
+weighted by the learnable scalars alpha and beta) into (H, W), (C, H) and
+(C, W) planes, like triplet attention's rotated branches (Misra et al., WACV
+2021).  Each plane goes through its branch's 1x3 convolution, sliding along
+W, H and C, and a sigmoid, giving a 2-D attention map.  The input is scaled
+by the mean of the three maps, each broadcast along the axis it pooled.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .errors import ShapeMismatch
 from .kernels import activation, conv2d, pool_last_axis
 from .kernels import permute  # noqa: F401  unused; perfbench/layers.py wraps attention.permute by name
 
-# Per branch: the transpose of the (H, W, C) map that puts the pooled axis (C, W, H) last;
+# Per branch: the transpose of the (C, H, W) map that puts the pooled axis (C, W, H) last;
 # kernel shape and pad sliding its 1x3 conv along W, H, C.
-_BRANCHES = (((0, 1, 2), (1, 1, 1, 3), (0, 1)), ((0, 2, 1), (1, 1, 3, 1), (1, 0)),
-             ((1, 2, 0), (1, 1, 1, 3), (0, 1)))
+_BRANCHES = (((1, 2, 0), (1, 1, 1, 3), (0, 1)), ((0, 1, 2), (1, 1, 1, 3), (0, 1)),
+             ((0, 2, 1), (1, 1, 3, 1), (1, 0)))
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ def attention_init(seed: int) -> AttentionParams:
 
 
 def attention_maps(f0: np.ndarray, params: AttentionParams) -> tuple:
-    """The three branch maps in (0, 1), shaped (H, W), (H, C) and (W, C)."""
+    """The three branch maps in (0, 1) of a (C, H, W) map, shaped (H, W), (C, H) and (C, W)."""
     f0 = np.asarray(f0)
     if f0.ndim != 3:
-        raise ShapeMismatch(f"expected a rank-3 (H,W,C) map, got shape {f0.shape}")
+        raise ShapeMismatch(f"expected a rank-3 (C,H,W) map, got shape {f0.shape}")
     maps = []
     for branch, (order, kernel_shape, pad) in enumerate(_BRANCHES):
         view = f0.transpose(order)
@@ -66,6 +66,6 @@ def attention_maps(f0: np.ndarray, params: AttentionParams) -> tuple:
 def attention_forward(f0: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Apply the three-branch attention; output shape equals input shape."""
     f0 = np.asarray(f0)
-    hw, hc, wc = attention_maps(f0, params)
-    return f0 * (hw[:, :, None] + hc[:, None, :] + wc[None]) / 3.0
+    hw, ch, cw = attention_maps(f0, params)
+    return f0 * (hw[None] + ch[:, :, None] + cw[:, None, :]) / 3.0
 

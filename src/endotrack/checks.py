@@ -78,7 +78,7 @@ def _worst_leaf_errors(objective: Callable, params, leaves: dict, h: float, tol:
 
 
 def attention_grad_check(f0: np.ndarray, params: AttentionParams, h: float = 1e-4):
-    """Step-size consistency of d sum(attention_forward(f0)) / d(alpha, beta, conv_w)."""
+    """Step-size consistency of d sum(attention_forward(f0)) / d(alpha, beta, conv_w); f0 is (C, H, W)."""
     leaves = {"attention alpha": "alpha", "attention beta": "beta",
               **{f"attention conv branch {b}": f"conv_w.{b}" for b in range(len(params.conv_w))}}
     return _worst_leaf_errors(lambda p: float(np.sum(attention_forward(f0, p))), params, leaves, h)
@@ -106,7 +106,7 @@ def run_gradient_checks(seed: int = 0, inject_nan: bool = False) -> list[GradChe
     att = attention_init(seed)
     if inject_nan:
         att = tree.with_element(att, "conv_w.0", (0, 0, 0, 0), np.nan)
-    entries = attention_grad_check(rng.standard_normal((4, 4, 3)), att)
+    entries = attention_grad_check(rng.standard_normal((4, 4, 3)).transpose(2, 0, 1), att)
     entries += decoder_grad_check(rng.standard_normal((6, 6, 6)), decoder_init(6, 6, seed=seed + 1))
     return entries + [lambda_grad_entry(seed + 2)]
 

@@ -15,6 +15,7 @@ magnitude, on reading and on writing alike.
 
 from __future__ import annotations
 
+import errno
 import os
 import secrets
 import zipfile
@@ -40,17 +41,18 @@ def atomic_write_texts(items) -> None:
     """Write each ``(path, text)`` pair through a uniquely named temp file in
     the path's directory, fsynced, and rename the temp files into place only
     after every one is written.  A failed write removes every temp file and
-    leaves every path as it was.  Concurrent writers never share a temp file."""
+    leaves every path as it was; a directory target, whose rename would fail
+    after earlier ones, is refused first.  Errors name the path asked for.
+    Concurrent writers never share a temp file."""
+    items = [(Path(path), text) for path, text in items]
+    for path, _ in items:
+        if path.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmps = []
     try:
         for path, text in items:
-            path = Path(path)
             tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-            try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as e:
-                # Name the file asked for, not the temp file.
-                raise OSError(e.errno, e.strerror, str(path)) from None
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append((tmp, path))
             with os.fdopen(fd, "w") as f:
                 f.write(text)
@@ -58,9 +60,11 @@ def atomic_write_texts(items) -> None:
                 os.fsync(f.fileno())
         for tmp, path in tmps:
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         for tmp, _ in tmps:
             tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 

@@ -3,7 +3,7 @@ and the pose decoder, and the standardization and initializer they share.
 
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
-(C, H, W) layout; the attention block pools its (H, W, C) maps through views.
+(C, H, W) layout; the attention block pools them through transposed views.
 ``conv2d`` gathers without a per-tap loop: one strided view of the padded
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the

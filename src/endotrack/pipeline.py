@@ -3,7 +3,7 @@
 Two scene features (one per frame) and a motion feature (from the optical
 flow, zero-padded to 3 channels) come from a shared 2-stage strided conv
 stack with seeded random weights.  The joint feature comes from the stacked
-frame pair through stem conv + attention, twice.  The four maps are
+frame pair through stem conv + attention, twice.  The four (C, H, W) maps are
 concatenated in the order (current scene, previous scene, motion, joint),
 and the fused map is standardized once per channel (``kernels.standardize``).
 
@@ -108,16 +108,11 @@ def extract_motion(flow: np.ndarray, params: PipelineParams) -> np.ndarray:
     return extract_scene(padded, params)
 
 
-def _attend(x: np.ndarray, att: AttentionParams) -> np.ndarray:
-    # Attention operates on (H, W, C) views of the (C, H, W) map.
-    return attention_forward(x.transpose(1, 2, 0), att).transpose(2, 0, 1)
-
-
 def extract_joint(pair: np.ndarray, params: PipelineParams) -> np.ndarray:
     """Stacked frame pair (6, H, W) through stem + attention, twice."""
     pair = _frame(pair, 6, params.config)
-    x = _attend(_stem(pair, params.joint1_w, params.joint1_b), params.att1)
-    return _attend(_stem(x, params.joint2_w, params.joint2_b), params.att2)
+    x = attention_forward(_stem(pair, params.joint1_w, params.joint1_b), params.att1)
+    return attention_forward(_stem(x, params.joint2_w, params.joint2_b), params.att2)
 
 
 def fuse(f_cur, f_prev, f_motion, f_joint) -> np.ndarray:

@@ -106,32 +106,37 @@ class TestForward:
             et.attention_forward(np.zeros((3, 3)), et.attention_init(0))
 
 
+def oracle_chw(x, params):
+    """The oracle on the (H, W, C) transpose of a (C, H, W) map, transposed back."""
+    return oracle_attention_forward(x.transpose(1, 2, 0), params).transpose(2, 0, 1)
+
+
 class TestMatchesPermuteOracle:
     @pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 4), (8, 8, 6), (4, 5, 6),
                                        (1, 8, 6), (8, 1, 1), (1, 1, 1)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_f64(self, shape, seed):
         p = et.attention_init(seed)
-        x = np.random.default_rng(seed).standard_normal(shape)
         h, w, c = shape
-        assert [m.shape for m in attention_maps(x, p)] == [(h, w), (h, c), (w, c)]
+        x = np.random.default_rng(seed).standard_normal(shape).transpose(2, 0, 1)
+        assert [m.shape for m in attention_maps(x, p)] == [(h, w), (c, h), (c, w)]
         out = et.attention_forward(x, p)
         assert out.dtype == np.float64
-        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-12
+        assert np.max(np.abs(out - oracle_chw(x, p))) <= 1e-12
 
     def test_f32(self, rng):
         p = tree.astype(et.attention_init(4), np.float32)
-        x = rng.standard_normal((32, 32, 8)).astype(np.float32)
+        x = rng.standard_normal((32, 32, 8)).astype(np.float32).transpose(2, 0, 1)
         out = et.attention_forward(x, p)
         assert out.dtype == np.float32
-        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-6
+        assert np.max(np.abs(out - oracle_chw(x, p))) <= 1e-6
 
     def test_f32_input_f64_params_gives_f64(self, rng):
         p = et.attention_init(5)
-        x = rng.standard_normal((6, 5, 4)).astype(np.float32)
+        x = rng.standard_normal((6, 5, 4)).astype(np.float32).transpose(2, 0, 1)
         out = et.attention_forward(x, p)
         assert out.dtype == np.float64
-        assert np.max(np.abs(out - oracle_attention_forward(x, p))) <= 1e-12
+        assert np.max(np.abs(out - oracle_chw(x, p))) <= 1e-12
 
 
 class TestGradCheck:

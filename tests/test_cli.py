@@ -56,6 +56,16 @@ class TestSynth:
         assert err.count("\n") == 1 and "missing" in err
         assert not list(tmp_path.iterdir())
 
+    def test_directory_rels_leaves_gt_unchanged(self, tmp_path, capsys):
+        gt, adir = tmp_path / "g3.txt", tmp_path / "adir"
+        gt.write_text("old\n")
+        adir.mkdir()
+        code, _, err = run(capsys, "synth", "--n", "5", "--out-gt", str(gt), "--out-rels", str(adir))
+        assert code == 1
+        assert err.count("\n") == 1 and "adir" in err and ".tmp" not in err
+        assert gt.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [adir, gt]
+
     @pytest.mark.parametrize("argv", [
         ("synth", "--seed", "-1"),
         ("synth", "--k", "0"),

@@ -1,3 +1,5 @@
+import errno
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -258,3 +260,31 @@ class TestAtomicWrite:
             atomic_write_texts([(first, "new a\n"), (second, "\ud800")])
         assert first.read_text() == "old a\n" and second.read_text() == "old b\n"
         assert sorted(tmp_path.iterdir()) == [first, second]
+
+    def test_directory_target_replaces_neither(self, tmp_path):
+        from endotrack.files import atomic_write_texts
+
+        first, adir = tmp_path / "a.txt", tmp_path / "adir"
+        first.write_text("old a\n")
+        adir.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_texts([(first, "new a\n"), (adir, "new b\n")])
+        assert info.value.filename == str(adir) and info.value.filename2 is None
+        assert first.read_text() == "old a\n"
+        assert sorted(tmp_path.iterdir()) == [first, adir]
+
+    def test_failed_rename_names_the_target(self, tmp_path, monkeypatch):
+        from endotrack import files
+
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(src), str(dst))
+
+        monkeypatch.setattr(files.os, "replace", refuse)
+        with pytest.raises(PermissionError) as info:
+            files.atomic_write_texts([(target, "new\n")])
+        assert info.value.filename == str(target) and info.value.filename2 is None
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]

@@ -175,8 +175,8 @@ class TestPool:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_branch_views_bitwise(self, rng, dtype):
-        f0 = rng.standard_normal((8, 16, 12)).astype(dtype).transpose(1, 2, 0)
-        for order in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        f0 = rng.standard_normal((8, 16, 12)).astype(dtype)
+        for order in ((1, 2, 0), (0, 1, 2), (0, 2, 1)):
             view = f0.transpose(order)
             assert_same_bits(kernels.pool_last_axis(view, "max"), view.max(axis=-1, keepdims=True))
             assert_same_bits(kernels.pool_last_axis(view, "avg"), view.mean(axis=-1, keepdims=True))
@@ -299,8 +299,8 @@ class TestConvBitExact:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_3x1_kernel(self, rng, dtype):
-        # The (H, C) branch: a 1x3 kernel turned to slide along H, on a plane as wide as C.
-        x = rng.standard_normal((1, 32, 8)).astype(dtype)
+        # The (C, W) branch: a 1x3 kernel turned to slide along C, on a plane as wide as W.
+        x = rng.standard_normal((1, 8, 32)).astype(dtype)
         w = rng.standard_normal((1, 1, 3, 1)).astype(dtype)
         b = rng.standard_normal(1).astype(dtype)
         assert_same_bits(kernels.conv2d(x, w, b, pad=(1, 0)), gather_conv2d(x, w, b, pad=(1, 0)))
@@ -311,7 +311,7 @@ class TestStandardize:
     @pytest.mark.parametrize("axis", [0, (1, 2)])
     def test_matches_mean_var_formula_bitwise(self, rng, dtype, axis):
         fused = (3.0 * rng.standard_normal((32, 16, 16)) + 1.0).astype(dtype)
-        # The joint stream arrives as a (C, H, W) view of an (H, W, C) map.
+        # A non-contiguous (C, H, W) view: standardize must not depend on memory layout.
         joint = rng.standard_normal((16, 16, 8)).astype(dtype).transpose(2, 0, 1)
         for x in (fused, joint):
             assert_same_bits(kernels.standardize(x, axis), standardize_formula(x, axis))

@@ -3,7 +3,7 @@ import pytest
 
 import endotrack as et
 from endotrack.errors import BadExtent, ShapeMismatch
-from endotrack.kernels import standardize
+from endotrack.kernels import activation, conv2d, standardize
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,16 @@ class TestJoint:
         assert np.array_equal(out, et.extract_joint(pair, params))
         assert np.all(np.isfinite(out))
 
+    def test_attention_takes_the_stem_map_as_is(self, params, rng):
+        pair = rng.standard_normal((6, 32, 32))
+
+        def stem(x, w, b):
+            return activation(conv2d(x, w, b, stride=2, pad=1), "relu")
+
+        x = et.attention_forward(stem(pair, params.joint1_w, params.joint1_b), params.att1)
+        x = et.attention_forward(stem(x, params.joint2_w, params.joint2_b), params.att2)
+        assert np.array_equal(et.extract_joint(pair, params), x)
+
     def test_identical_frames_ok(self, params, rng):
         img = rng.standard_normal((3, 32, 32))
         out = et.extract_joint(np.concatenate([img, img]), params)
@@ -83,8 +93,8 @@ class TestFuse:
         assert et.fuse(*maps).shape == (8, 4, 4)
 
     def test_slices_recover_standardized_inputs(self, rng):
-        # The last stream is a transposed (H, W, C) view, as the joint map
-        # comes back from attention; fuse must not depend on memory layout.
+        # The last stream is a non-contiguous (C, H, W) view; fuse must not
+        # depend on memory layout.
         for hw in (4, 8, 16, 32):
             maps = [rng.standard_normal((3, hw, hw)) for _ in range(3)]
             maps.append(rng.standard_normal((hw, hw, 3)).transpose(2, 0, 1))
