@@ -37,7 +37,7 @@ from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
 # Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
-# measured 1.38 GB peak RSS and 56 s on a 2-core Xeon.
+# measured 1.37 GB peak RSS and 48 s on a 2-core Xeon (one BLAS thread).
 MAX_POSES = 10**6
 # Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.47 GB
 # peak RSS and 8 s on a 2-core Xeon (about 300 B a pixel).

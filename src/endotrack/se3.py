@@ -11,6 +11,9 @@ Conventions, fixed once for the whole package:
   the fixed world axes.
 * Every function but ``quat_log`` broadcasts over leading axes (q (..., 4),
   R (..., 3, 3), t (..., 3)); each row of a stack comes out bit for bit as alone.
+* ``pose_compose`` of two single poses multiplies with ``dot`` and tests
+  R'R's drift on Python floats; stacks and broadcasts use ``@``,
+  ``matvec`` and one array test.  Both routes round alike, so that promise holds.
 * ``Pose(...)`` converts and checks its arrays.  The private ``_pose`` skips
   both and may only wrap arrays that are already float64 with R (..., 3, 3)
   and t (..., 3) over the same leading axes: ``pose_compose``'s own results
@@ -29,7 +32,8 @@ from .errors import NotARotation, ShapeMismatch, ZeroQuaternion
 LOG_EPS = 1e-8
 # Orthonormality defect that triggers re-orthonormalization after composing.
 ORTHO_TOL = 1e-9
-# Shared by every drift test, so a compose allocates no identity; read-only.
+# Shared by every drift test (so a compose allocates no identity) and by
+# orthonormalize; read-only.
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
@@ -212,20 +216,42 @@ def check_rotation(R, tol: float = 1e-6) -> None:
 
 
 def orthonormalize(R) -> np.ndarray:
-    """Nearest rotation in the Frobenius sense (polar factor via SVD)."""
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
+    """Nearest rotation in the Frobenius sense (polar factor via SVD).
+
+    A matrix with an inf or NaN entry comes back all NaN.  It never reaches
+    the SVD, which on some inf matrices does not return.
+    """
+    R = np.asarray(R, dtype=float)
+    bad = ~np.isfinite(R).all(axis=(-2, -1))
+    if bad.any():
+        R = np.where(bad[..., None, None], _EYE3, R)
+    U, _, Vt = np.linalg.svd(R)
     U[..., -1] *= np.where(np.linalg.det(U @ Vt) < 0.0, -1.0, 1.0)[..., None]
-    return U @ Vt
+    out = U @ Vt
+    out[bad] = np.nan
+    return out
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:
     """a then b applied in b's frame: R = Ra Rb, t = Ra tb + ta.
 
     Re-orthonormalizes each rotation whose drift exceeds ORTHO_TOL so long
-    chains stay valid.
+    chains stay valid.  Two single poses multiply with ``dot`` and test the
+    drift on Python floats, which on 3x3 operands costs less per call than
+    ``@``, ``matvec`` and the array test and gives the same bits.
     """
-    R = a.R @ b.R
-    t = np.matvec(a.R, b.t) + a.t
+    if a.R.ndim == b.R.ndim == 2:
+        R = a.R.dot(b.R)
+        t = a.R.dot(b.t) + a.t
+        # R'R comes from one symmetric rank-k update, so its upper triangle
+        # holds every distinct entry.  A NaN fails and falls through.
+        (d00, d01, d02), (_, d11, d12), (_, _, d22) = R.T.dot(R).tolist()
+        if (abs(d00 - 1.0) <= ORTHO_TOL and abs(d11 - 1.0) <= ORTHO_TOL and abs(d22 - 1.0) <= ORTHO_TOL
+                and abs(d01) <= ORTHO_TOL and abs(d02) <= ORTHO_TOL and abs(d12) <= ORTHO_TOL):
+            return _pose(R, t, a.unit)
+    else:
+        R = a.R @ b.R
+        t = np.matvec(a.R, b.t) + a.t
     D = _ortho_residual(R)
     # One test for the whole stack.  A NaN fails it too and reaches the
     # per-rotation test, where it compares false and stays unrepaired.

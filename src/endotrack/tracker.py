@@ -8,6 +8,7 @@ per-step relative error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -20,6 +21,16 @@ from .se3 import (Pose, _pose, identity_pose, orthonormalize, pose_compose, rela
 # Unconditional re-orthonormalization cadence for long chains.
 RENORM_EVERY = 64
 DEFAULT_STRIDE = 4
+
+
+def _integer(v, name: str) -> int:
+    """v as a Python int (numpy integers too), or ShapeMismatch naming ``name``; bools are refused."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ShapeMismatch(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +51,13 @@ class Trajectory:
             raise ShapeMismatch(f"need R (N, 3, 3) and t (N, 3), got {R.shape} and {t.shape}")
         if len(R) != len(t):
             raise LengthMismatch(f"{len(R)} rotations vs {len(t)} translations")
-        if self.k < 1:
-            raise ShapeMismatch(f"stride k must be >= 1, got {self.k}")
+        k, start = _integer(self.k, "stride k"), _integer(self.start, "start")
+        if k < 1:
+            raise ShapeMismatch(f"stride k must be >= 1, got {k}")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "start", start)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -302,6 +302,113 @@ class TestComposeAgainstReference:
         assert np.array_equal(out.R[[0, 2, 3]], et.orthonormalize(R[[0, 2, 3]]))
         self.assert_same(et.Pose(R[1], np.zeros(3)), ident)
 
+    # Single poses take their own path (dot and a drift test on Python floats).
+
+    @staticmethod
+    def single(rng, t_decades=(-8, 8)):
+        R = random_rotations(rng, 1)[0]
+        return et.Pose(R, rng.standard_normal(3) * 10.0 ** rng.uniform(*t_decades))
+
+    def test_single_pose_sweep(self, rng):
+        # Every 10th left operand drifts by about 2e-8, so the repair runs too.
+        for i in range(10_000):
+            a, b = self.single(rng), self.single(rng)
+            if i % 10 == 0:
+                a = et.Pose(a.R * (1.0 + 1e-8 * rng.uniform(0.5, 1.5, 3)), a.t)
+            self.assert_same(a, b)
+
+    @staticmethod
+    def column_scaled(R, col, s):
+        out = R.copy()
+        out[:, col] *= 1.0 + s
+        return out
+
+    def test_single_pose_drift_just_below_and_above_tolerance(self, rng):
+        # One column scaled: R'R is diagonal, RR' is not.  Bisect the scale
+        # until the largest residual sits within a few ulps of 1.0 on either side.
+        ident = et.identity_pose()
+        for col in range(3):
+            Q = random_rotations(rng, 1)[0]
+            lo, hi = 0.0, 1e-9
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                if se3._ortho_defect(self.column_scaled(Q, col, mid)) > se3.ORTHO_TOL:
+                    hi = mid
+                else:
+                    lo = mid
+            below, above = self.column_scaled(Q, col, lo), self.column_scaled(Q, col, hi)
+            ulps = 4 * np.spacing(1.0)
+            assert se3.ORTHO_TOL - ulps < se3._ortho_defect(below) <= se3.ORTHO_TOL
+            assert se3.ORTHO_TOL < se3._ortho_defect(above) < se3.ORTHO_TOL + ulps
+            kept = self.assert_same(et.Pose(below, np.zeros(3)), ident)
+            repaired = self.assert_same(et.Pose(above, np.zeros(3)), ident)
+            assert np.array_equal(kept.R, below)
+            assert np.array_equal(repaired.R, et.orthonormalize(above))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)])
+    def test_single_pose_off_diagonal_drift(self, i, j, monkeypatch):
+        # I + eps e_ij: R'R - I is exactly eps at (i, j) and (j, i), zero elsewhere.
+        ident = et.identity_pose()
+        tol = se3.ORTHO_TOL
+        array_tests = []
+        residual = se3._ortho_residual
+        monkeypatch.setattr(se3, "_ortho_residual", lambda R: array_tests.append(1) or residual(R))
+        for eps, repair in ((np.nextafter(tol, 0.0), False), (tol, False), (np.nextafter(tol, 1.0), True)):
+            R = np.eye(3)
+            R[i, j] = eps
+            D = residual(R)
+            assert D[i, j] == D[j, i] == eps and D.sum() == 2 * eps
+            # Only a drift above the tolerance leaves the single-pose test for the array one.
+            array_tests.clear()
+            et.pose_compose(et.Pose(R, np.zeros(3)), ident)
+            assert len(array_tests) == repair
+            out = self.assert_same(et.Pose(R, np.zeros(3)), ident)
+            assert np.array_equal(out.R, et.orthonormalize(R) if repair else R)
+
+    def test_single_pose_transposed_and_read_only(self, rng):
+        for drift in (0.0, 1e-7):
+            a, b = self.single(rng), self.single(rng)
+            Ra = np.ascontiguousarray(a.R.T * (1.0 + drift)).T
+            Rb = b.R.T.copy().T
+            ta, tb = a.t.copy(), rng.standard_normal(6)[::2]
+            for x in (Rb, ta, tb):
+                x.flags.writeable = False
+            A, B = et.Pose(Ra, ta), et.Pose(Rb, tb)
+            assert not A.R.flags.c_contiguous and not B.R.flags.c_contiguous and not B.t.flags.c_contiguous
+            before = [x.copy() for x in (Ra, Rb, ta, tb)]
+            for p, q in ((A, B), (B, A), (A, A), (B, B), (et.pose_inverse(A), B)):
+                self.assert_same(p, q)
+            assert all(np.array_equal(x, y) for x, y in zip((Ra, Rb, ta, tb), before))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_single_pose_non_finite(self, rng, bad):
+        for field, index in (("R", (1, 2)), ("R", (0, 0)), ("t", (0,)), ("t", (2,))):
+            a, b = self.single(rng), self.single(rng)
+            arr = getattr(a, field).copy()
+            arr[index] = bad
+            broken = et.Pose(arr, a.t) if field == "R" else et.Pose(a.R, arr)
+            for p, q in ((broken, b), (b, broken), (broken, broken)):
+                self.assert_same(p, q)
+
+    def test_stack_rows_equal_single_pose_calls(self, rng):
+        n = 40
+        R = random_rotations(rng, n)
+        R[::4] *= 1.0 + 1e-7
+        R[5, 1, 1] = np.nan
+        A = et.Pose(R, rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-8, 8, (n, 1)))
+        B = et.Pose(random_rotations(rng, n), rng.standard_normal((n, 3)))
+        one = self.single(rng)
+        with np.errstate(invalid="ignore"):
+            for p, q in ((A, B), (A, one), (one, B)):
+                out = et.pose_compose(p, q)
+                for i in range(n):
+                    left, right = (x if x is one else et.Pose(x.R[i], x.t[i]) for x in (p, q))
+                    alone = et.pose_compose(left, right)
+                    assert np.array_equal(out.R[i], alone.R, equal_nan=True)
+                    assert np.array_equal(out.t[i], alone.t, equal_nan=True)
+
 
 class TestUncheckedConstructor:
     """Poses built without __post_init__ hold what the checked constructor would build."""
@@ -397,6 +504,19 @@ class TestOrthonormalize:
         assert np.max(np.abs(fixed.T @ fixed - np.eye(3))) < 1e-12
         assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(fixed - R)) < 1e-5
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_comes_back_nan(self, rng, bad):
+        # LAPACK's SVD does not return on some inf matrices, an inf at (0, 0) of a rotation among them.
+        R = random_rotations(rng, 4)
+        R[1, 0, 0] = bad
+        R[3, 2, 1] = bad
+        before = R.copy()
+        out = et.orthonormalize(R)
+        assert np.isnan(et.orthonormalize(R[1])).all()
+        assert np.isnan(out[[1, 3]]).all()
+        assert np.array_equal(out[[0, 2]], et.orthonormalize(R[[0, 2]]))
+        assert np.array_equal(R, before, equal_nan=True)
 
 
 def random_rotations(rng, n):

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack import se3
+from endotrack import files, se3
 from endotrack.errors import LengthMismatch, ShapeMismatch, UnitMismatch
 
 from helpers import random_pose, trajectory_of
@@ -27,6 +28,21 @@ class TestTrajectoryType:
             et.Trajectory(np.zeros((2, 3, 3)), np.zeros((2, 4)))
         with pytest.raises(ShapeMismatch):
             et.Trajectory(np.zeros((2, 3, 3)), np.zeros((2, 3)), k=0)
+
+    @pytest.mark.parametrize("field, value", [("k", True), ("k", False), ("k", 2.5), ("k", np.float64(4.0)),
+                                              ("k", "4"), ("start", 0.5), ("start", True),
+                                              ("start", np.True_), ("start", None)])
+    def test_non_integer_stride_or_start_refused(self, field, value):
+        name = "stride k" if field == "k" else "start"
+        with pytest.raises(ShapeMismatch, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            et.Trajectory(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), **{field: value})
+
+    def test_numpy_integer_stride_and_start_taken_as_int(self):
+        traj = et.Trajectory(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), k=np.int64(3), start=np.uint8(6))
+        assert type(traj.k) is int and type(traj.start) is int
+        assert (traj.k, traj.start, traj.frames) == (3, 6, (6, 9))
+        back = files.parse_trajectory(files.format_trajectory(traj))
+        assert back.k == 3 and back.frames == traj.frames
 
     def test_stores_contiguous_float64(self, rng):
         R = np.stack([random_pose(rng).R for _ in range(4)]).transpose(0, 2, 1)
