@@ -26,6 +26,7 @@ from .errors import (
     TrajectoryParseError,
     UnitMismatch,
     ZeroQuaternion,
+    integer,
 )
 from .files import atomic_write_texts, format_trajectory, read_trajectory, write_trajectory
 from .metrics import evaluate
@@ -44,15 +45,8 @@ MAX_POSES = 10**6
 MAX_FRAME_PIXELS = 3840 * 2160
 
 
-def _seed(args) -> int:
-    """--seed, checked here for every command that takes it."""
-    if args.seed < 0:
-        raise BadExtent(f"seed must be >= 0, got {args.seed}")
-    return args.seed
-
-
 def cmd_synth(args) -> int:
-    seed = _seed(args)
+    seed = integer(args.seed, "--seed", 0)
     if args.n > MAX_POSES:
         raise BadExtent(f"--n must be at most {MAX_POSES}, got {args.n}")
     try:
@@ -71,15 +65,13 @@ def cmd_synth(args) -> int:
 def cmd_track(args) -> int:
     rels = read_trajectory(args.rels)
     base = read_trajectory(args.base)
-    if rels.unit != base.unit:
-        raise UnitMismatch(f"relatives unit {rels.unit!r} vs base unit {base.unit!r}")
     if rels.k != base.k:
         raise AlignmentError(f"stride mismatch: relatives k={rels.k} vs base k={base.k}")
     if rels.start != base.start + base.k:
         raise AlignmentError(f"relatives start at frame {rels.start}, but base frame "
                              f"{base.start} is followed by frame {base.start + base.k}")
     if args.mode == "chained":
-        est = chain_absolute(Pose(base.R[0], base.t[0], base.unit), rels, k=base.k, start=base.start)
+        est = chain_absolute(Pose(base.R[0], base.t[0], base.unit), rels)
     else:
         est = chain_rebased(base, rels)
     write_trajectory(args.out, est)
@@ -99,7 +91,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = _seed(args)
+    seed = integer(args.seed, "--seed", 0)
     entries = run_gradient_checks(seed, inject_nan=args.inject_nan)
     print(format_entries(entries, seed))
     return 0 if all(e.passed for e in entries) else 1
@@ -112,10 +104,7 @@ def cmd_bench(args) -> int:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
     if h * w > MAX_FRAME_PIXELS:
         raise BadExtent(f"--size must be at most {MAX_FRAME_PIXELS} pixels (3840x2160), got {h}x{w}")
-    if args.repeat < 1 or args.warmup < 0:
-        raise EndotrackError(
-            f"need --repeat >= 1 and --warmup >= 0, got {args.repeat} and {args.warmup}"
-        )
+    repeat, warmup = integer(args.repeat, "--repeat", 1), integer(args.warmup, "--warmup", 0)
     pcfg = PipelineConfig(height=h, width=w)
     dtype = np.float32 if args.f32 else np.float64
     params = init_pipeline(pcfg).astype(dtype)
@@ -132,19 +121,19 @@ def cmd_bench(args) -> int:
         decoder_forward(fused, dec)
         return t1 - t0, time.perf_counter() - t1
 
-    for _ in range(args.warmup):
+    for _ in range(warmup):
         one_pass()
-    timings = np.sum([one_pass() for _ in range(args.repeat)], axis=0)
-    per_frame = float(timings.sum()) / args.repeat
+    timings = np.sum([one_pass() for _ in range(repeat)], axis=0)
+    per_frame = float(timings.sum()) / repeat
     fps = 1.0 / per_frame
 
     print("throughput benchmark -- STAND-IN pipeline (randomly initialized weights,")
     print("not a trained network; numbers characterize these kernels only)")
     print(f"size {h}x{w}, dtype {'float32' if args.f32 else 'float64'}, "
-          f"{args.repeat} repeats after {args.warmup} warmup")
+          f"{repeat} repeats after {warmup} warmup")
     print("per-stage ms/frame:")
     for name, total in zip(("pipeline", "decoder"), timings):
-        print(f"  {name:<9} {1000.0 * total / args.repeat:8.3f}")
+        print(f"  {name:<9} {1000.0 * total / repeat:8.3f}")
     print(f"total {1000.0 * per_frame:.3f} ms/frame -> {fps:.1f} fps")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tree
-from .errors import BadChannelCount, ShapeMismatch
+from .errors import BadChannelCount, ShapeMismatch, integer
 from .kernels import activation, affine, conv2d, conv_init, layernorm
 from .se3 import PoseVec, quat_normalize
 
@@ -55,10 +55,10 @@ def decoder_init(in_channels: int, channels: int, seed: int = 0) -> DecoderParam
     depthwise stage needs it).  Conv/affine weights use the fan-in uniform
     rule; every block's gamma starts at 1e-6.
     """
-    if channels % 3 != 0:
-        raise BadChannelCount(f"channels={channels} not divisible by 3")
-    if in_channels < 1 or channels < 3:
-        raise BadChannelCount(f"need in_channels >= 1 and channels >= 3, got {in_channels}, {channels}")
+    in_channels, channels = integer(in_channels, "in_channels"), integer(channels, "channels")
+    if in_channels < 1 or channels < 3 or channels % 3:
+        raise BadChannelCount(f"need in_channels >= 1 and channels a positive multiple of 3, "
+                              f"got {in_channels}, {channels}")
     rng = np.random.default_rng(seed)
     c = channels
     blocks = []

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two argument checks:
+``integer``, the one rule for integer arguments (nothing is coerced), and
+``same_unit``, the one rule for length-unit tags."""
+
+import numpy as np
 
 
 class EndotrackError(ValueError):
@@ -38,7 +42,8 @@ class BadExtent(EndotrackError):
 
 
 class BadPenalty(EndotrackError):
-    """Robust-loss penalty exponent outside (0, 1)."""
+    """Robust-loss penalty out of range: exponent q outside (0, 1), or eps or a
+    level weight theta not finite or negative (eps must also be nonzero)."""
 
 
 class NonFiniteFunction(EndotrackError):
@@ -47,6 +52,23 @@ class NonFiniteFunction(EndotrackError):
 
 class UnitMismatch(EndotrackError):
     """Operands carry different length-unit tags."""
+
+
+def integer(v, name: str, least: int | None = None) -> int:
+    """A Python or numpy integer scalar as an int; a bool, float, string or array
+    (0-d too), or a value below ``least``, raises ShapeMismatch naming ``name``."""
+    # The exact type test settles the common case, a plain int (never a bool), at once.
+    if type(v) is not int and not isinstance(v, np.integer):
+        raise ShapeMismatch(f"{name} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ShapeMismatch(f"{name} must be an integer >= {least}, got {v}")
+    return int(v)
+
+
+def same_unit(a, b, a_name: str, b_name: str) -> None:
+    """UnitMismatch naming both operands unless ``a.unit == b.unit``."""
+    if a.unit != b.unit:
+        raise UnitMismatch(f"{a_name} unit {a.unit!r} vs {b_name} unit {b.unit!r}")
 
 
 class LengthMismatch(EndotrackError):

@@ -14,11 +14,9 @@ generator it is given.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import BadPermutation, ShapeMismatch
+from .errors import BadPermutation, ShapeMismatch, integer
 
 # Added to the variance before the square root in every standardization.
 EPS = 1e-6
@@ -30,22 +28,20 @@ _SIGMOID_BOUNDS = {np.dtype(t): (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg)
 
 def _pair(v, name: str, least: int) -> tuple[int, int]:
     """One integer >= ``least`` for both axes, or a pair of them; else ShapeMismatch naming ``name``."""
+    if not isinstance(v, (tuple, list, np.ndarray)):
+        v = integer(v, name, least)
+        return v, v
     try:
-        a, b = (v, v) if isinstance(v, (int, np.integer)) else v
-        if isinstance(a, bool) or isinstance(b, bool):
-            raise TypeError
-        a, b = operator.index(a), operator.index(b)
+        a, b = v
     except (TypeError, ValueError):
-        a = b = least - 1
-    if a < least or b < least:
-        raise ShapeMismatch(f"{name} must be an integer >= {least} or a pair of them, got {v!r}")
-    return a, b
+        raise ShapeMismatch(f"{name} must be an integer or a pair of them, got {v!r}") from None
+    return integer(a, name, least), integer(b, name, least)
 
 
 def permute(x: np.ndarray, order) -> np.ndarray:
     """Reorder axes; inverse order restores the input bitwise."""
     x = np.asarray(x)
-    order = tuple(int(a) for a in order)
+    order = tuple(integer(a, "order") for a in order)
     if sorted(order) != list(range(x.ndim)):
         raise BadPermutation(f"{order} is not a permutation of 0..{x.ndim - 1}")
     return np.transpose(x, order).copy()
@@ -73,7 +69,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
 
     x: (C_in, H, W); w: (C_out, C_in/groups, kh, kw); b: (C_out,) or None.
     stride (>= 1) and pad (>= 0) are an integer or a (rows, columns) pair of
-    integers.  Output spatial extent is floor((H + 2*pad - kh)/stride) + 1.
+    integers, groups (>= 1) an integer.  Output spatial extent is
+    floor((H + 2*pad - kh)/stride) + 1.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -81,7 +78,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         raise ShapeMismatch(f"conv2d expects (C,H,W) input and 4-D weights, got {x.shape}, {w.shape}")
     c_in, h, wd = x.shape
     c_out, c_per_g, kh, kw = w.shape
-    if groups < 1 or c_in % groups or c_out % groups:
+    groups = integer(groups, "groups", 1)
+    if c_in % groups or c_out % groups:
         raise ShapeMismatch(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_per_g != c_in // groups:
         raise ShapeMismatch(f"weight channel dim {c_per_g} != C_in/groups = {c_in // groups}")

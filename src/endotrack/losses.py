@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExtent, BadPenalty, InvalidQuaternion, ShapeMismatch
+from .errors import BadExtent, BadPenalty, InvalidQuaternion, ShapeMismatch, integer
 from .se3 import PoseVec, quat_log
 
 PYRAMID_LEVELS = (2, 3, 4, 5, 6)
@@ -74,6 +74,7 @@ def descend_loss_weights(
     weights.  The objective is convex in each weight, so moderate step
     sizes decrease it monotonically.
     """
+    steps = integer(steps, "steps", 0)
     w = start
     history = [float(_weighted_loss(t_err, r_err, w))]
     for _ in range(steps):
@@ -99,6 +100,7 @@ class FlowPyramid:
 
 def pad_to_multiple(flow: np.ndarray, multiple: int = 32) -> np.ndarray:
     """Zero-pad bottom/right so both spatial extents divide ``multiple``."""
+    multiple = integer(multiple, "multiple", 1)
     flow = np.asarray(flow)
     h, w = flow.shape[:2]
     ph = (-h) % multiple
@@ -143,13 +145,15 @@ def flow_robust_loss(pred: FlowPyramid, gt: FlowPyramid, theta=None,
     """
     if not 0.0 < q < 1.0:
         raise BadPenalty(f"penalty exponent q={q} must lie in (0, 1)")
-    if eps <= 0.0:
-        raise BadPenalty(f"noise constant eps={eps} must be positive")
+    if not 0.0 < eps < np.inf:
+        raise BadPenalty(f"noise constant eps={eps} must be finite and positive")
     if theta is None:
         theta = np.ones(len(PYRAMID_LEVELS))
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(PYRAMID_LEVELS),):
         raise ShapeMismatch(f"theta must have {len(PYRAMID_LEVELS)} entries, got {theta.shape}")
+    if not np.all((theta >= 0.0) & (theta < np.inf)):
+        raise BadPenalty(f"level weights theta={theta} must be finite and non-negative")
     total = 0.0
     for i, l in enumerate(PYRAMID_LEVELS):
         p = pred.level(l)

@@ -28,14 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, UnitMismatch
+from .errors import AlignmentError, same_unit
 from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
 from .tracker import Trajectory
-
-
-def _check_units(gt, est) -> None:
-    if gt.unit != est.unit:
-        raise UnitMismatch(f"gt unit {gt.unit!r} vs est unit {est.unit!r}")
 
 
 def _wrap_pi(d: np.ndarray) -> np.ndarray:
@@ -44,7 +39,7 @@ def _wrap_pi(d: np.ndarray) -> np.ndarray:
 
 
 def ate(gt: Pose, est: Pose) -> np.ndarray:
-    _check_units(gt, est)
+    same_unit(gt, est, "gt", "est")
     return vec_norm(gt.t - est.t)
 
 
@@ -59,7 +54,7 @@ def de(gt: Pose, est: Pose) -> np.ndarray:
 
 
 def rte(gt_rel: Pose, est_rel: Pose) -> np.ndarray:
-    _check_units(gt_rel, est_rel)
+    same_unit(gt_rel, est_rel, "gt", "est")
     return vec_norm(pose_compose(pose_inverse(gt_rel), est_rel).t)
 
 
@@ -107,7 +102,7 @@ def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
 
     Trajectories must agree in unit tag, stride, and frame indices.
     """
-    _check_units(gt, est)
+    same_unit(gt, est, "gt", "est")
     if gt.k != est.k:
         raise AlignmentError(f"stride mismatch: {gt.k} vs {est.k}")
     if gt.start != est.start or len(gt) != len(est):

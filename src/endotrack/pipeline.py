@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tree
 from .attention import AttentionParams, attention_forward, attention_init
-from .errors import BadExtent, ShapeMismatch
+from .errors import BadExtent, ShapeMismatch, integer
 from .kernels import activation, concat_channels, conv2d, conv_init, standardize
 
 
@@ -34,11 +34,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("height", "width"):
-            if getattr(self, name) < 5:
+            v = integer(getattr(self, name), name)
+            if v < 5:
                 raise BadExtent(f"{name} must be >= 5 (after two stride-2 stems the decoder's 2x2 "
-                                f"stride-2 downsample needs 2 pixels), got {getattr(self, name)}")
+                                f"stride-2 downsample needs 2 pixels), got {v}")
+            object.__setattr__(self, name, v)
         for name in ("scene_channels", "joint_channels"):
-            pair = tuple(int(c) for c in getattr(self, name))
+            pair = tuple(integer(c, name) for c in getattr(self, name))
             if len(pair) != 2 or min(pair) < 1:
                 raise BadExtent(f"{name} must be two positive extents, got {pair}")
             object.__setattr__(self, name, pair)

@@ -8,29 +8,18 @@ per-step relative error.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch, UnitMismatch
+from .errors import LengthMismatch, ShapeMismatch, integer, same_unit
 from .se3 import (Pose, _pose, identity_pose, orthonormalize, pose_compose, relative_pose,
                   rotmat_from_axis_angle, vec_norm)
 
 # Unconditional re-orthonormalization cadence for long chains.
 RENORM_EVERY = 64
 DEFAULT_STRIDE = 4
-
-
-def _integer(v, name: str) -> int:
-    """v as a Python int (numpy integers too), or ShapeMismatch naming ``name``; bools are refused."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ShapeMismatch(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -51,9 +40,7 @@ class Trajectory:
             raise ShapeMismatch(f"need R (N, 3, 3) and t (N, 3), got {R.shape} and {t.shape}")
         if len(R) != len(t):
             raise LengthMismatch(f"{len(R)} rotations vs {len(t)} translations")
-        k, start = _integer(self.k, "stride k"), _integer(self.start, "start")
-        if k < 1:
-            raise ShapeMismatch(f"stride k must be >= 1, got {k}")
+        k, start = integer(self.k, "stride k", 1), integer(self.start, "start")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "k", k)
@@ -96,18 +83,19 @@ class NoiseSpec:
         object.__setattr__(self, "bias_t", bias)
 
 
-def chain_absolute(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE, start: int = 0) -> Trajectory:
+def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None,
+                   start: int | None = None) -> Trajectory:
     """Accumulate relative poses from the initial pose: P_i = P_{i-1} * rel_i.
 
-    Rotations are re-orthonormalized every RENORM_EVERY steps (plus the
-    tolerance-triggered fix inside pose_compose) so thousand-step chains
-    stay valid.  Raises ShapeMismatch unless p0 is a single pose and
-    UnitMismatch unless p0 and rels share a unit.
+    Row i is frame ``start + i * k``, by default the frame rels labels it
+    (k = rels.k, p0 one stride before rels).  Rotations are re-orthonormalized
+    every RENORM_EVERY steps (plus the tolerance-triggered fix inside
+    pose_compose) so thousand-step chains stay valid.  Raises ShapeMismatch
+    unless p0 is a single pose and UnitMismatch unless p0 and rels share a unit.
     """
     if p0.R.shape != (3, 3):
         raise ShapeMismatch(f"p0 must be a single pose, got R {p0.R.shape}")
-    if p0.unit != rels.unit:
-        raise UnitMismatch(f"p0 unit {p0.unit!r} vs rels unit {rels.unit!r}")
+    same_unit(p0, rels, "p0", "rels")
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
@@ -116,20 +104,20 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int = DEFAULT_STRIDE, start: i
         if i % RENORM_EVERY == 0:
             cur = _pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
-    return Trajectory(R, t, k, p0.unit, start)
+    return Trajectory(R, t, rels.k if k is None else k, p0.unit,
+                      rels.start - rels.k if start is None else start)
 
 
 def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
     """Compose each estimated relative onto the ground-truth previous pose.
 
     Per-step errors do not accumulate; the first pose is the ground truth
-    initial pose.  Raises LengthMismatch unless len(rels) == len(gt) - 1
-    and UnitMismatch unless gt and rels share a unit.
+    initial pose.  Raises UnitMismatch unless gt and rels share a unit and
+    LengthMismatch unless len(rels) == len(gt) - 1.
     """
+    same_unit(gt, rels, "gt", "rels")
     if len(rels) != len(gt) - 1:
         raise LengthMismatch(f"{len(rels)} relatives for a {len(gt)}-pose trajectory")
-    if gt.unit != rels.unit:
-        raise UnitMismatch(f"gt unit {gt.unit!r} vs rels unit {rels.unit!r}")
     R, t = gt.R.copy(), gt.t.copy()
     for i, (gt_R, gt_t, rel_R, rel_t) in enumerate(zip(gt.R, gt.t, rels.R, rels.t), start=1):
         step = pose_compose(_pose(gt_R, gt_t, gt.unit), _pose(rel_R, rel_t, rels.unit))
@@ -153,7 +141,7 @@ def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
     (3 normals), then per step the heading noise (3 normals), the step length
     (one uniform), the axis noise (3 normals) and the angle (one normal).
     """
-    if n < 2:
+    if integer(n, "n") < 2:
         raise LengthMismatch(f"need at least 2 poses, got n={n}")
     if not (np.isfinite(smoothness) and smoothness > 0):
         raise ShapeMismatch(f"smoothness must be finite and positive, got {smoothness}")

@@ -223,3 +223,18 @@ class TestFlowRobustLoss:
             et.flow_robust_loss(a, b)
         with pytest.raises(ShapeMismatch):
             et.flow_robust_loss(a, a, theta=[1.0, 1.0])
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.01])
+    def test_non_finite_or_non_positive_eps_refused(self, eps):
+        pyr = et.flow_pyramid(np.zeros((32, 32, 2)))
+        with pytest.raises(BadPenalty, match="eps"):
+            et.flow_robust_loss(pyr, pyr, eps=eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_theta_refused(self, bad):
+        pyr = et.flow_pyramid(np.zeros((32, 32, 2)))
+        for level in range(5):
+            theta = np.ones(5)
+            theta[level] = bad
+            with pytest.raises(BadPenalty, match="theta"):
+                et.flow_robust_loss(pyr, pyr, theta=theta)

@@ -93,6 +93,16 @@ class TestChainAbsolute:
         assert traj.frames == (10, 12, 14, 16)
         assert traj.unit == "cm"
 
+    def test_default_frames_are_the_frames_rels_label(self):
+        gt = et.synth_trajectory(5, k=1)
+        p0 = et.Pose(gt.R[0], gt.t[0], gt.unit)
+        assert et.chain_absolute(p0, gt.relatives()).frames == gt.frames == (0, 1, 2, 3, 4)
+        rels = trajectory_of([et.identity_pose()] * 3, k=3, start=10)
+        traj = et.chain_absolute(p0, rels)
+        assert (traj.k, traj.frames) == (3, (7, 10, 13, 16))
+        assert et.chain_absolute(p0, rels, k=2).frames == (7, 9, 11, 13)
+        assert et.chain_absolute(p0, rels, start=0).frames == (0, 3, 6, 9)
+
     def test_mixed_units_refused(self, rng):
         rels = trajectory_of([random_pose(rng, unit="mm")] * 3)
         with pytest.raises(UnitMismatch, match="p0 unit 'cm' vs rels unit 'mm'"):
