@@ -28,7 +28,7 @@ from .errors import (
     ZeroQuaternion,
     integer,
 )
-from .files import atomic_write_texts, format_trajectory, read_trajectory, write_trajectory
+from .files import atomic_write_texts, read_trajectory, trajectory_chunks, write_trajectory
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
 from .se3 import Pose
@@ -38,7 +38,7 @@ from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
 # Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
-# measured 1.37 GB peak RSS and 48 s on a 2-core Xeon (one BLAS thread).
+# measured 634 MB peak RSS and 28 s on a 2-core Xeon (one BLAS thread).
 MAX_POSES = 10**6
 # Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.47 GB
 # peak RSS and 8 s on a 2-core Xeon (about 300 B a pixel).
@@ -56,8 +56,9 @@ def cmd_synth(args) -> int:
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
     spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
     rels = perturb_relatives(gt, spec)
-    # Both files or neither: a failed write leaves no partial output.
-    atomic_write_texts([(args.out_gt, format_trajectory(gt)), (args.out_rels, format_trajectory(rels))])
+    # Both files or neither: a failed write leaves no partial output.  Both
+    # trajectories are checked here, before either file is opened.
+    atomic_write_texts([(args.out_gt, trajectory_chunks(gt)), (args.out_rels, trajectory_chunks(rels))])
     print(f"wrote {args.out_gt} ({len(gt)} poses) and {args.out_rels} ({len(rels)} relatives)")
     return 0
 
@@ -86,7 +87,7 @@ def cmd_eval(args) -> int:
     text = report.to_text()
     print(text)
     if args.out:
-        atomic_write_texts([(args.out, text + "\n")])
+        atomic_write_texts([(args.out, [text, "\n"])])
     return 0
 
 

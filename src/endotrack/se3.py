@@ -6,7 +6,8 @@ Conventions, fixed once for the whole package:
   The canonical representative of the double cover has ``q0 >= 0``.
 * A :class:`Pose` maps points from its own frame into the world frame:
   ``x_world = R @ x_local + t``.  Translation units (mm or cm) ride along as
-  a metadata tag; the algebra never converts them.
+  a metadata tag; the algebra never converts them, and composing two poses
+  of different units raises UnitMismatch.
 * Euler angles are extrinsic X-Y-Z: ``R = Rz(rz) @ Ry(ry) @ Rx(rx)`` about
   the fixed world axes.
 * Every function but ``quat_log`` broadcasts over leading axes (q (..., 4),
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotARotation, ShapeMismatch, ZeroQuaternion
+from .errors import NotARotation, ShapeMismatch, ZeroQuaternion, same_unit
 
 # Degenerate-axis threshold for the quaternion logarithm.
 LOG_EPS = 1e-8
@@ -238,8 +239,10 @@ def pose_compose(a: Pose, b: Pose) -> Pose:
     Re-orthonormalizes each rotation whose drift exceeds ORTHO_TOL so long
     chains stay valid.  Two single poses multiply with ``dot`` and test the
     drift on Python floats, which on 3x3 operands costs less per call than
-    ``@``, ``matvec`` and the array test and gives the same bits.
+    ``@``, ``matvec`` and the array test and gives the same bits.  Raises
+    UnitMismatch unless a and b share a unit.
     """
+    same_unit(a, b, "a", "b")
     if a.R.ndim == b.R.ndim == 2:
         R = a.R.dot(b.R)
         t = a.R.dot(b.t) + a.t
@@ -267,7 +270,9 @@ def pose_inverse(p: Pose) -> Pose:
 
 
 def relative_pose(p_prev: Pose, p_cur: Pose) -> Pose:
-    """Transform taking p_prev's frame to p_cur's: inverse(p_prev) * p_cur."""
+    """Transform taking p_prev's frame to p_cur's: inverse(p_prev) * p_cur.
+    Raises UnitMismatch unless p_prev and p_cur share a unit."""
+    same_unit(p_prev, p_cur, "p_prev", "p_cur")
     return pose_compose(pose_inverse(p_prev), p_cur)
 
 

@@ -8,6 +8,8 @@ per-step relative error.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -54,14 +56,32 @@ class Trajectory:
         return tuple(range(self.start, self.start + len(self) * self.k, self.k))
 
     @property
-    def poses(self) -> tuple:
-        return tuple(_pose(R, t, self.unit) for R, t in zip(self.R, self.t))
+    def poses(self) -> Sequence[Pose]:
+        """Row i as a Pose, built when it is read; a slice gives a tuple."""
+        return _Poses(self)
 
     def relatives(self) -> Trajectory:
         """Exact relative poses between consecutive frames, indexed by the later frame."""
         rel = relative_pose(Pose(self.R[:-1], self.t[:-1], self.unit),
                             Pose(self.R[1:], self.t[1:], self.unit))
         return Trajectory(rel.R, rel.t, self.k, self.unit, self.start + self.k)
+
+
+class _Poses(Sequence):
+    """A trajectory's rows as Poses around views of its arrays, read-only."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        # An integer only, as a tuple takes: an array index would stack rows.
+        i = operator.index(i)
+        return _pose(self._traj.R[i], self._traj.t[i], self._traj.unit)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,14 @@ import io
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from endotrack import files as trajectory_files
 from endotrack.cli import main
+from endotrack.files import _parse_lines, parse_trajectory
 
 # The last two are bytes that are not UTF-8, as surrogateescape writes them:
 # 0xff, and a 0xc3 whose continuation byte is cut off.
@@ -109,3 +113,37 @@ def test_mutated_files_exit_cleanly(files, target, ops):
         code, err = run(*argv)
         assert code in (0, 1, 2, 3, 4), argv
         assert err.count("\n") <= 1, (argv, err)
+
+
+# Tokens that int() or float() read as the writer never writes them, frames
+# at and beyond int64, and a form feed, which splits a line in two.
+READER_TOKENS = TOKENS + ["+4", "0004", "4.0", "-0.0", "1E2", str(2**63 + 4), str(2**63 - 1),
+                          str(-2**63), "\x0c", "#"]
+reader_token = st.tuples(st.just("token"), st.integers(0, 99), st.integers(0, 9),
+                         st.sampled_from(READER_TOKENS))
+reader_mutation = st.one_of(mutation, reader_token, reader_token,
+                            st.tuples(st.just("extra_field"), st.integers(0, 99), st.sampled_from(READER_TOKENS)))
+
+
+def outcome(parse, text):
+    """What a reader makes of ``text``: the trajectory's bits and labels, or its error."""
+    try:
+        traj = parse(text)
+    except Exception as e:
+        return type(e), str(e)
+    return traj.R.tobytes(), traj.t.tobytes(), traj.k, traj.unit, traj.start
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["gt", "rels"]), ops=st.lists(reader_mutation, max_size=3),
+       lead=st.sampled_from(["", "# lead\n", "\n", " \n# a\n\t\n"]), block_rows=st.sampled_from([1, 2, 4, 1024]))
+# Frames 2**63 - 1 and 3 - 2**63 differ by k = 4 only in wrapping int64 arithmetic.
+@example(target="gt", ops=[("token", 1, 0, str(2**63 - 1)), ("token", 2, 0, str(3 - 2**63)),
+                           ("drop_line", 3), ("drop_line", 3), ("drop_line", 3), ("drop_line", 3)],
+         lead="", block_rows=1024)
+def test_block_reader_agrees_with_per_line_reader(files, target, ops, lead, block_rows):
+    """Same arrays, stride, unit and start, or the same error, from both readers."""
+    text = lead + mutate((files / f"{target}.txt").read_text(), ops)
+    with mock.patch.object(trajectory_files, "BLOCK_ROWS", block_rows):
+        got = outcome(parse_trajectory, text)
+    assert got == outcome(_parse_lines, text)

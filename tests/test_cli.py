@@ -66,6 +66,17 @@ class TestSynth:
         assert gt.read_text() == "old\n"
         assert sorted(tmp_path.iterdir()) == [adir, gt]
 
+    def test_same_file_twice_exit_1(self, tmp_path, capsys):
+        # Both names reach one file: it used to end up holding the relatives
+        # alone, with exit 0, and the ground truth was lost.
+        gt, rels = tmp_path / "a.txt", f"{tmp_path}/./a.txt"
+        gt.write_text("old\n")
+        code, out, err = run(capsys, "synth", "--n", "5", "--out-gt", str(gt), "--out-rels", rels)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and rels in err
+        assert gt.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [gt]
+
     @pytest.mark.parametrize("argv", [
         ("synth", "--seed", "-1"),
         ("synth", "--k", "0"),

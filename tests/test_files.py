@@ -1,18 +1,25 @@
 import errno
 import os
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import endotrack as et
+from endotrack import files
 from endotrack.errors import (
     ArchiveMismatch,
+    EndotrackError,
     NotARotation,
     TrajectoryParseError,
     ZeroQuaternion,
 )
 from endotrack.files import (
+    BLOCK_ROWS,
+    _parse_lines,
+    atomic_write_texts,
     format_trajectory,
     load_params,
     parse_trajectory,
@@ -155,6 +162,99 @@ class TestWriteBound:
         assert np.array_equal(back.t, t)
 
 
+def per_row_text(traj) -> str:
+    """The file text formatted one row at a time: the reference for the block formatter."""
+    v = et.pose_to_vec(traj)
+    rows = np.concatenate([v.t, v.q[:, 1:], v.q[:, :1]], axis=1).tolist()
+    lines = [f"{frame} " + " ".join(map(repr, row)) for frame, row in zip(traj.frames, rows)]
+    return "\n".join([f"unit={traj.unit} k={traj.k}", *lines]) + "\n"
+
+
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.R, b.R) and np.array_equal(a.t, b.t)
+    assert (a.k, a.unit, a.start) == (b.k, b.unit, b.start)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_round_trip_at_block_edges(self, tmp_path, n):
+        traj = replace(et.synth_trajectory(n, seed=n, unit="cm", k=3), start=-6)
+        text = per_row_text(traj)
+        assert format_trajectory(traj) == text
+        path = tmp_path / "t.txt"
+        et.write_trajectory(path, traj)
+        assert path.read_bytes() == text.encode()
+        back = parse_trajectory(text)
+        assert_same_trajectory(back, _parse_lines(text))
+        assert back.frames == traj.frames and np.array_equal(back.t, traj.t)
+
+    @pytest.mark.parametrize("field, token, error", [
+        (2, "abc", TrajectoryParseError),
+        (2, "1e151", NotARotation),
+        (0, "4", TrajectoryParseError),
+        (8, "0", TrajectoryParseError),
+        (None, None, ZeroQuaternion),
+    ], ids=["not-a-number", "beyond-bound", "stride", "extra-field", "zero-quaternion"])
+    def test_bad_row_in_second_block_names_its_line(self, field, token, error):
+        lines = format_trajectory(et.synth_trajectory(BLOCK_ROWS + 10, seed=4)).splitlines()
+        row = BLOCK_ROWS + 5
+        fields = lines[row].split()
+        if field is None:
+            fields[4:] = ["0"] * 4
+        elif field < len(fields):
+            fields[field] = token
+        else:
+            fields.append(token)
+        lines[row] = " ".join(fields)
+        with pytest.raises(error, match=f"line {row + 1}:"):
+            parse_trajectory("\n".join(lines) + "\n")
+
+    def test_plain_file_read_without_the_per_line_reader(self, monkeypatch):
+        traj = et.synth_trajectory(BLOCK_ROWS + 3, seed=2)
+        text = "# leading comment\n\n" + format_trajectory(traj)
+        want = parse_trajectory(text)
+
+        def refuse(text):
+            raise AssertionError("plain file sent to the per-line reader")
+
+        monkeypatch.setattr(files, "_parse_lines", refuse)
+        assert_same_trajectory(parse_trajectory(text), want)
+        with pytest.raises(AssertionError):
+            parse_trajectory(text + "# trailing comment\n")
+
+    def test_short_row_then_long_row_refused(self):
+        # Together the two rows hold 16 fields, and the 9th reads as the next frame.
+        text = "unit=mm k=4\n0 0 0 0 0 0 1\n0.5 4 0 0 0 0 0 0 1\n"
+        with pytest.raises(TrajectoryParseError, match="line 2: expected 8 fields, got 7"):
+            parse_trajectory(text)
+
+    def test_frame_stride_that_wraps_int64_refused(self):
+        # The two frames differ by 4 - 2**64, which int64 subtraction wraps to k = 4.
+        text = "unit=mm k=4\n9223372036854775807 0 0 0 0 0 0 1\n-9223372036854775805 0 0 0 0 0 0 1\n"
+        with pytest.raises(TrajectoryParseError, match="line 3: frame index"):
+            parse_trajectory(text)
+
+    def test_frames_beyond_int64_read(self):
+        text = "unit=mm k=4\n9223372036854775807 0 0 0 0 0 0 1\n9223372036854775811 0 0 0 0 0 0 1\n"
+        traj = parse_trajectory(text)
+        assert traj.frames == (2**63 - 1, 2**63 + 3)
+        assert format_trajectory(traj) == text.replace(" 0 0 0 0 0 0 1", " 0.0 0.0 0.0 0.0 0.0 0.0 1.0")
+
+
+class TestWriteMemory:
+    def test_write_peak_below_file_size(self, tmp_path):
+        # The whole-text writer peaked at about 6x the file's size.
+        traj = et.synth_trajectory(20_000, seed=1)
+        path = tmp_path / "t.txt"
+        tracemalloc.start()
+        try:
+            et.write_trajectory(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
+
 class TestParamArchives:
     def test_attention_round_trip(self, tmp_path):
         p = et.attention_init(12)
@@ -288,3 +388,38 @@ class TestAtomicWrite:
         assert info.value.filename == str(target) and info.value.filename2 is None
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("raising", [0, 1])
+    def test_raising_chunks_replace_neither(self, tmp_path, raising):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        atomic_write_texts([(first, "old a\n"), (second, "old b\n")])
+
+        def chunks(text):
+            yield text
+            raise RuntimeError("chunk source failed")
+
+        new = [["new a\n"], ["new b\n"]]
+        new[raising] = chunks("half\n")
+        with pytest.raises(RuntimeError, match="chunk source failed"):
+            atomic_write_texts([(first, new[0]), (second, new[1])])
+        assert first.read_text() == "old a\n" and second.read_text() == "old b\n"
+        assert sorted(tmp_path.iterdir()) == [first, second]
+
+    @pytest.mark.parametrize("other", ["./a.txt", "sub/../a.txt", "link/a.txt"])
+    def test_same_file_twice_writes_nothing(self, tmp_path, other):
+        target = tmp_path / "a.txt"
+        target.write_text("old\n")
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        named = f"{tmp_path}/{other}"
+        with pytest.raises(EndotrackError, match=re.escape(f"{target} and {named} name the same file")):
+            atomic_write_texts([(target, ["gt\n"]), (named, ["rels\n"])])
+        assert target.read_text() == "old\n"
+        assert sorted(tmp_path.iterdir()) == [target, tmp_path / "link"]
+
+    def test_symlink_and_its_target_are_two_entries(self, tmp_path):
+        # os.replace swaps the link itself for the new file; the target is not touched twice.
+        target, link = tmp_path / "a.txt", tmp_path / "l.txt"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        atomic_write_texts([(target, ["a\n"]), (link, ["l\n"])])
+        assert target.read_text() == "a\n" and link.read_text() == "l\n" and not link.is_symlink()

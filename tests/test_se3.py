@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import endotrack as et
-from endotrack.errors import NotARotation, ShapeMismatch, ZeroQuaternion
+from endotrack.errors import NotARotation, ShapeMismatch, UnitMismatch, ZeroQuaternion
 from endotrack import se3
 from endotrack.se3 import vec_norm
 
@@ -184,6 +184,18 @@ class TestPoseAlgebra:
         b = random_pose(rng, unit="cm")
         assert et.pose_compose(a, b).unit == "cm"
         assert et.pose_inverse(a).unit == "cm"
+
+    # Composing an mm pose with a cm pose used to add the cm offset as mm.
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
+    def test_mixed_units_refused(self, stack):
+        mm = et.Pose(np.broadcast_to(np.eye(3), stack + (3, 3)), np.ones(stack + (3,)), "mm")
+        cm = et.Pose(np.eye(3), np.ones(3), "cm")
+        with pytest.raises(UnitMismatch, match="a unit 'mm' vs b unit 'cm'"):
+            et.pose_compose(mm, cm)
+        with pytest.raises(UnitMismatch, match="a unit 'cm' vs b unit 'mm'"):
+            et.pose_compose(cm, mm)
+        with pytest.raises(UnitMismatch, match="p_prev unit 'mm' vs p_cur unit 'cm'"):
+            et.relative_pose(mm, cm)
 
     def test_bad_shapes(self):
         with pytest.raises(ShapeMismatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import endotrack as et
-from endotrack import files, se3
+from endotrack import files, se3, tracker
 from endotrack.errors import LengthMismatch, ShapeMismatch, UnitMismatch
 
 from helpers import random_pose, trajectory_of
@@ -51,6 +51,25 @@ class TestTrajectoryType:
             assert a.dtype == np.float64 and a.flags.c_contiguous
         assert traj.frames == (6, 8, 10, 12)
         assert np.array_equal(traj.poses[2].R, R[2]) and traj.poses[2].unit == "mm"
+
+    def test_poses_built_on_access(self, rng, monkeypatch):
+        traj = trajectory_of([random_pose(rng, unit="cm") for _ in range(4)], k=2)
+        built = []
+        monkeypatch.setattr(tracker, "_pose", lambda *a: built.append(a) or se3._pose(*a))
+        poses = traj.poses
+        first, last = poses[0], poses[-1]
+        assert len(built) == 2 and len(poses) == 4
+        assert np.array_equal(first.R, traj.R[0]) and np.array_equal(last.t, traj.t[3])
+        assert first.unit == "cm" and np.shares_memory(first.R, traj.R)
+        assert [p.t.tolist() for p in poses] == traj.t.tolist()
+        assert [p.t.tolist() for p in poses[1::2]] == traj.t[1::2].tolist()
+        assert isinstance(poses[:2], tuple) and poses[5:] == ()
+        with pytest.raises(IndexError):
+            poses[4]
+        with pytest.raises(TypeError):
+            poses[np.array([0, 1])]
+        with pytest.raises(TypeError):
+            poses[0] = first
 
     def test_relatives_indexed_by_later_frame(self, rng):
         poses = [random_pose(rng) for _ in range(3)]
