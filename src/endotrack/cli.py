@@ -45,12 +45,20 @@ MAX_POSES = 10**6
 MAX_FRAME_PIXELS = 3840 * 2160
 
 
+def _plain(text: str) -> str:
+    """``text`` itself if it is plain ASCII without ``_``, as trajectory files
+    hold numbers; int() and float() would also read Unicode digits and ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
 def cmd_synth(args) -> int:
     seed = integer(args.seed, "--seed", 0)
     if args.n > MAX_POSES:
         raise BadExtent(f"--n must be at most {MAX_POSES}, got {args.n}")
     try:
-        bias = np.array([float(v) for v in args.bias_t.split(",")]) if args.bias_t else np.zeros(3)
+        bias = np.array([float(v) for v in _plain(args.bias_t).split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
         raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
@@ -100,7 +108,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        h, w = (int(v) for v in args.size.lower().split("x"))
+        h, w = (int(v) for v in _plain(args.size).lower().split("x"))
     except ValueError:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
     if h * w > MAX_FRAME_PIXELS:

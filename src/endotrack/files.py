@@ -15,11 +15,11 @@ magnitude, on reading and on writing alike.
 Rows are written and read ``BLOCK_ROWS`` at a time.  ``trajectory_chunks``
 checks every row, then yields the header and one string per block, and
 ``atomic_write_texts`` streams such chunks into place, so a write never
-holds a whole file's text.  A plain file (ASCII without ``_``, and nothing
-but 8-field rows after the header) is parsed a block at a time into arrays.
-Any other text, and any file that fails a check on that path, is read again
-line by line; that reader is the only source of parse errors, each naming
-its line.
+holds a whole file's text.  ``parse_trajectory`` is the one reader: after
+the header it splits and converts each block of lines in bulk and checks
+the block as arrays.  Only a block that holds a comment, a blank line, text
+other than plain ASCII, an ``_`` or a row that fails a check goes through
+the per-line checks, which raise for its first faulty line and name it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import errno
 import os
 import secrets
 import zipfile
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -165,80 +165,76 @@ def _parse_header(line_no: int, line: str) -> tuple[str, int]:
     return kv["unit"], k
 
 
-def _poses(v: np.ndarray, unit: str) -> Pose:
-    """Rows ``tx ty tz qx qy qz qw`` as poses; scalar-last on disk -> scalar-first internally."""
-    return pose_from_vec(PoseVec(v[:, :3], np.roll(v[:, 3:], 1, axis=1)), unit)
-
-
 def parse_trajectory(text: str) -> Trajectory:
     """The trajectory a file's text holds.  Raises TrajectoryParseError
     naming the line of a malformed header or row, NotARotation for a value
-    beyond POSE_BOUND and ZeroQuaternion for a row without a rotation."""
-    traj = _parse_blocks(text)
-    return _parse_lines(text) if traj is None else traj
-
-
-def _parse_blocks(text: str) -> Trajectory | None:
-    """A plain file's trajectory, parsed BLOCK_ROWS rows at a time, or None
-    when the text is not plain or fails a check; the per-line reader then
-    reads it again and names the line at fault."""
-    if not text.isascii() or "_" in text:
-        return None
+    beyond POSE_BOUND and ZeroQuaternion for a row without a rotation.  The
+    first faulty line decides; ZeroQuaternion comes only once every row has
+    passed."""
     lines = text.splitlines()
-    for head, raw in enumerate(lines):
+    for head, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             break
     else:
-        return None
-    try:
-        unit, k = _parse_header(head + 1, line)
-    except TrajectoryParseError:
-        return None
-    first, n = head + 1, len(lines) - head - 1
+        raise TrajectoryParseError(len(lines), "missing header line 'unit=<mm|cm> k=<int>'")
+    unit, k = _parse_header(head, line)
+    v, n, last = np.empty((len(lines) - head, 7)), 0, None
+    for b in range(head, len(lines), BLOCK_ROWS):
+        block = lines[b:b + BLOCK_ROWS]
+        last, rows = _bulk_rows(block, k, last) or _checked_rows(block, b + 1, k, last)
+        v[n:n + len(rows)] = rows
+        n += len(rows)
     if n == 0:
-        return None
-    frames, v = np.empty(n, dtype=np.int64), np.empty((n, 7))
-    for r0 in range(first, len(lines), BLOCK_ROWS):
-        # A blank line has no field, and int() refuses a comment's first one.
-        fields = list(map(str.split, lines[r0:r0 + BLOCK_ROWS]))
-        if set(map(len, fields)) != {8}:
-            return None
-        cells = list(chain.from_iterable(fields))
-        rows = slice(r0 - first, r0 - first + len(fields))
-        try:
-            # A frame beyond int64 raises OverflowError.
-            frames[rows] = list(map(int, cells[0::8]))
-            del cells[0::8]
-            v[rows] = np.reshape(list(map(float, cells)), (-1, 7))
-        except (ValueError, OverflowError):
-            return None
-    start = int(frames[0])
-    # int64 differences wrap; the exact span, in Python ints, rules that out.
-    if not (np.diff(frames) == k).all() or int(frames[-1]) - start != (n - 1) * k:
-        return None
-    if not ((v <= POSE_BOUND) & (v >= -POSE_BOUND)).all():
-        return None
+        raise TrajectoryParseError(len(lines), "no pose rows")
     try:
-        poses = _poses(v, unit)
-    except ZeroQuaternion:
+        # Scalar-last on disk -> scalar-first internally.
+        poses = pose_from_vec(PoseVec(v[:n, :3], np.roll(v[:n, 3:], 1, axis=1)), unit)
+    except ZeroQuaternion as e:
+        row_lines = (no for no, raw in enumerate(lines[head:], start=head + 1)
+                     if raw.strip()[:1] not in ("", "#"))
+        raise ZeroQuaternion(f"line {next(islice(row_lines, e.index[0], None))}: {e}") from None
+    # Every stride was checked exactly, so the first frame follows from the last.
+    return Trajectory(poses.R, poses.t, k, unit, last - (n - 1) * k)
+
+
+def _bulk_rows(block: list[str], k: int, last: int | None) -> tuple[int, np.ndarray] | None:
+    """The last frame and the (rows, 7) values of a block of plain rows that
+    follows frame ``last``, or None when a line is not a plain row or fails a
+    check."""
+    joined = "".join(block)
+    if not joined.isascii() or "_" in joined:
         return None
-    return Trajectory(poses.R, poses.t, k, unit, start)
+    # A blank line has no field, and int() refuses a comment's first one.
+    fields = list(map(str.split, block))
+    if set(map(len, fields)) != {8}:
+        return None
+    cells = list(chain.from_iterable(fields))
+    try:
+        # A frame beyond int64 raises OverflowError.
+        frames = np.array(list(map(int, cells[0::8])), dtype=np.int64)
+        del cells[0::8]
+        v = np.reshape(list(map(float, cells)), (-1, 7))
+    except (ValueError, OverflowError):
+        return None
+    first, end = int(frames[0]), int(frames[-1])
+    # int64 differences wrap; the exact span, in Python ints, rules that out.
+    if last is not None and first - last != k or end - first != (len(frames) - 1) * k:
+        return None
+    if not (np.diff(frames) == k).all() or not ((v <= POSE_BOUND) & (v >= -POSE_BOUND)).all():
+        return None
+    return end, v
 
 
-def _parse_lines(text: str) -> Trajectory:
-    """The per-line reader: every line checked in order, errors naming it."""
-    unit = None
-    frames: list[int] = []
-    rows: list[list[float]] = []
-    line_nos: list[int] = []
-    line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+def _checked_rows(block: list[str], line_no: int, k: int,
+                  last: int | None) -> tuple[int | None, np.ndarray]:
+    """The per-line checks, for a block the bulk route refused: each line in
+    order from number ``line_no``, raising for the first at fault and naming
+    it.  Returns the last frame and the rows, as ``_bulk_rows`` does."""
+    rows = []
+    for line_no, raw in enumerate(block, start=line_no):
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
-        if unit is None:
-            unit, k = _parse_header(line_no, line)
             continue
         tokens = _plain_ascii(line_no, line).split()
         if len(tokens) != 8:
@@ -249,34 +245,25 @@ def _parse_lines(text: str) -> Trajectory:
         except ValueError as e:
             raise TrajectoryParseError(line_no, str(e)) from None
         # Also rejects NaN and inf.
-        if not all(abs(v) <= POSE_BOUND for v in vals):
+        if not all(abs(x) <= POSE_BOUND for x in vals):
             raise _beyond_bound(f"line {line_no}")
-        if frames and frame - frames[-1] != k:
-            raise TrajectoryParseError(
-                line_no, f"frame index {frame} does not follow {frames[-1]} by k={k}"
-            )
-        frames.append(frame)
+        if last is not None and frame - last != k:
+            raise TrajectoryParseError(line_no, f"frame index {frame} does not follow {last} by k={k}")
+        last = frame
         rows.append(vals)
-        line_nos.append(line_no)
-    if unit is None:
-        raise TrajectoryParseError(line_no, "missing header line 'unit=<mm|cm> k=<int>'")
-    if not rows:
-        raise TrajectoryParseError(line_no, "no pose rows")
-    try:
-        poses = _poses(np.array(rows), unit)
-    except ZeroQuaternion as e:
-        raise ZeroQuaternion(f"line {line_nos[e.index[0]]}: {e}") from None
-    return Trajectory(poses.R, poses.t, k, unit, frames[0])
+    return last, np.reshape(rows, (-1, 7))
 
 
 def _read_text(path) -> str:
     """The file decoded as UTF-8.  A byte that is not UTF-8 raises
-    TrajectoryParseError naming its line, as any other malformed text does."""
+    TrajectoryParseError naming its line, counted by the reader's own
+    ``splitlines`` rule, as any other malformed text does."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise TrajectoryParseError(data.count(b"\n", 0, e.start) + 1,
+        # The bytes before the first bad one decode; "x" stands for the line it starts.
+        raise TrajectoryParseError(len((data[:e.start].decode("utf-8") + "x").splitlines()),
                                    f"byte {data[e.start]:#04x} is not UTF-8 text") from None
 
 

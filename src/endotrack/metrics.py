@@ -5,7 +5,9 @@ truth sharing the same world frame and units (no alignment step):
 
 * ate  - Euclidean distance between absolute translations.
 * ce   - mean over the three extrinsic X-Y-Z Euler-angle pairs of
-         (1 - cos(angle difference)); dimensionless in [0, 2].
+         1 - cos(d), d the angle difference; dimensionless in [0, 2].  It
+         is taken as 2 sin^2(d / 2), which keeps its precision at small d
+         where 1 - cos(d) cancels, and needs no wrap of d to [-pi, pi].
 * de   - angle in degrees between the rotated x-axes u, v of the two
          poses, 2 * atan2(|u - v|, |u + v|).
 * rte  - translation norm of the relative-pose error transform.
@@ -33,11 +35,6 @@ from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
 from .tracker import Trajectory
 
 
-def _wrap_pi(d: np.ndarray) -> np.ndarray:
-    r = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(r == -np.pi, np.pi, r)
-
-
 def ate(gt: Pose, est: Pose) -> np.ndarray:
     same_unit(gt, est, "gt", "est")
     return vec_norm(gt.t - est.t)
@@ -45,7 +42,7 @@ def ate(gt: Pose, est: Pose) -> np.ndarray:
 
 def ce(gt: Pose, est: Pose) -> np.ndarray:
     pairs = zip(euler_from_rotmat(gt.R), euler_from_rotmat(est.R))
-    return sum(1.0 - np.cos(_wrap_pi(a - b)) for a, b in pairs) / 3.0
+    return sum(2.0 * np.sin((a - b) / 2.0) ** 2 for a, b in pairs) / 3.0
 
 
 def de(gt: Pose, est: Pose) -> np.ndarray:

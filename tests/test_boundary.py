@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from endotrack import files as trajectory_files
 from endotrack.cli import main
-from endotrack.files import _parse_lines, parse_trajectory
+from endotrack.files import parse_trajectory
+
+from trajectory_oracle import parse_lines
 
 # The last two are bytes that are not UTF-8, as surrogateescape writes them:
 # 0xff, and a 0xc3 whose continuation byte is cut off.
@@ -116,9 +118,10 @@ def test_mutated_files_exit_cleanly(files, target, ops):
 
 
 # Tokens that int() or float() read as the writer never writes them, frames
-# at and beyond int64, and a form feed, which splits a line in two.
+# at and beyond int64, and a form feed, a carriage return and a file
+# separator, each of which splits a line in two.
 READER_TOKENS = TOKENS + ["+4", "0004", "4.0", "-0.0", "1E2", str(2**63 + 4), str(2**63 - 1),
-                          str(-2**63), "\x0c", "#"]
+                          str(-2**63), "\x0c", "\r", "\x1c", "#"]
 reader_token = st.tuples(st.just("token"), st.integers(0, 99), st.integers(0, 9),
                          st.sampled_from(READER_TOKENS))
 reader_mutation = st.one_of(mutation, reader_token, reader_token,
@@ -146,4 +149,4 @@ def test_block_reader_agrees_with_per_line_reader(files, target, ops, lead, bloc
     text = lead + mutate((files / f"{target}.txt").read_text(), ops)
     with mock.patch.object(trajectory_files, "BLOCK_ROWS", block_rows):
         got = outcome(parse_trajectory, text)
-    assert got == outcome(_parse_lines, text)
+    assert got == outcome(parse_lines, text)

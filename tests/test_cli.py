@@ -41,7 +41,7 @@ class TestSynth:
         b_gt, _ = synth_files(tmp_path / "b", capsys, seed=2)
         assert a_gt.read_bytes() != b_gt.read_bytes()
 
-    @pytest.mark.parametrize("bias", ["abc", "1,2,x", "nan,0,0"])
+    @pytest.mark.parametrize("bias", ["abc", "1,2,x", "nan,0,0", "1_0,0,0", "\u0661,0,0"])
     def test_bad_bias_t(self, tmp_path, capsys, bias):
         code, _, err = run(capsys, "synth", "--bias-t", bias, "--out-gt", str(tmp_path / "gt.txt"),
                            "--out-rels", str(tmp_path / "rels.txt"))
@@ -283,6 +283,20 @@ class TestEval:
         assert code == 2
         assert out == "" and err.count("\n") == 1 and "line 3" in err
 
+    @pytest.mark.parametrize("text, line", [
+        (b"unit=mm k=4\r0 0 0 0 0 0 0 1\r4 0 0 0 0 0 0 \xff\r", 3),
+        (b"unit=mm k=4\n0 0 0 0 0 0 0 1\n\x0c4 0 0 0 0 0 0 \xff\n", 4),
+    ], ids=["carriage-returns", "form-feed"])
+    def test_non_utf8_byte_line_counts_every_line_break(self, tmp_path, capsys, text, line):
+        # The reader's splitlines() breaks lines at these too; a count of "\n" bytes does not.
+        a = tmp_path / "a.txt"
+        a.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n4 0 0 0 0 0 0 1\n")
+        b = tmp_path / "b.txt"
+        b.write_bytes(text)
+        code, out, err = run(capsys, "eval", str(a), str(b))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and f"line {line}:" in err
+
     def test_report_file(self, tmp_path, capsys):
         gt, _ = synth_files(tmp_path, capsys)
         out_path = tmp_path / "report.txt"
@@ -327,6 +341,13 @@ class TestBench:
     def test_bad_size_arg(self, capsys):
         code, _, err = run(capsys, "bench", "--size", "64")
         assert code == 1
+
+    @pytest.mark.parametrize("size", ["1_6x1_6", "\u0661\u0666x16"])
+    def test_size_needs_plain_ascii_digits(self, capsys, size):
+        # int() reads both as 16; trajectory files refuse such numbers too.
+        code, out, err = run(capsys, "bench", "--size", size, "--repeat", "1", "--warmup", "0")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--size" in err
 
     def test_smallest_frame_size(self, capsys):
         code, _, err = run(capsys, "bench", "--size", "4x4", "--repeat", "1")

@@ -18,13 +18,14 @@ from endotrack.errors import (
 )
 from endotrack.files import (
     BLOCK_ROWS,
-    _parse_lines,
     atomic_write_texts,
     format_trajectory,
     load_params,
     parse_trajectory,
     save_params,
 )
+
+from trajectory_oracle import parse_lines
 
 
 class TestTrajectoryRoundTrip:
@@ -185,7 +186,7 @@ class TestBlocks:
         et.write_trajectory(path, traj)
         assert path.read_bytes() == text.encode()
         back = parse_trajectory(text)
-        assert_same_trajectory(back, _parse_lines(text))
+        assert_same_trajectory(back, parse_lines(text))
         assert back.frames == traj.frames and np.array_equal(back.t, traj.t)
 
     @pytest.mark.parametrize("field, token, error", [
@@ -209,18 +210,24 @@ class TestBlocks:
         with pytest.raises(error, match=f"line {row + 1}:"):
             parse_trajectory("\n".join(lines) + "\n")
 
-    def test_plain_file_read_without_the_per_line_reader(self, monkeypatch):
-        traj = et.synth_trajectory(BLOCK_ROWS + 3, seed=2)
+    def test_per_line_checks_run_only_on_a_block_at_fault(self, monkeypatch):
+        traj = et.synth_trajectory(2 * BLOCK_ROWS + 3, seed=2)
         text = "# leading comment\n\n" + format_trajectory(traj)
+        checked, per_line = [], files._checked_rows
+
+        def count(block, line_no, k, last):
+            checked.append(line_no)
+            return per_line(block, line_no, k, last)
+
+        monkeypatch.setattr(files, "_checked_rows", count)
         want = parse_trajectory(text)
-
-        def refuse(text):
-            raise AssertionError("plain file sent to the per-line reader")
-
-        monkeypatch.setattr(files, "_parse_lines", refuse)
-        assert_same_trajectory(parse_trajectory(text), want)
-        with pytest.raises(AssertionError):
-            parse_trajectory(text + "# trailing comment\n")
+        assert checked == []
+        assert_same_trajectory(want, parse_lines(text))
+        # The header is line 3, so block 2 starts at line 4 + BLOCK_ROWS.
+        lines = text.splitlines(keepends=True)
+        lines.insert(3 + BLOCK_ROWS + 7, "# comment in block 2\n")
+        assert_same_trajectory(parse_trajectory("".join(lines)), want)
+        assert checked == [4 + BLOCK_ROWS]
 
     def test_short_row_then_long_row_refused(self):
         # Together the two rows hold 16 fields, and the 9th reads as the next frame.

@@ -69,6 +69,12 @@ class TestExamples:
         est = et.Pose(et.rotmat_from_axis_angle([1, 0, 0], math.pi), np.zeros(3))
         assert et.ce(gt, est) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1e-6, 1e-8])
+    def test_ce_small_angle_keeps_precision(self, d):
+        # 1 - cos(d) cancels here: it read 0 at 1e-8 rad.  The bound is a few ulps.
+        est = et.Pose(et.rotmat_from_axis_angle([1, 0, 0], d), np.zeros(3))
+        assert et.ce(et.identity_pose(), est) == pytest.approx((d**2 / 2 - d**4 / 24) / 3, rel=1e-15, abs=0)
+
     def test_de_90_about_z(self):
         gt = et.identity_pose()
         est = et.Pose(et.rotmat_from_axis_angle([0, 0, 1], math.pi / 2), np.zeros(3))

@@ -8,13 +8,18 @@ but the compose recurrence and reads array rows; tests require equal bits.
 every rotation's drift on its own and builds a checked ``Pose``;
 ``se3.pose_compose`` must equal it bit for bit.  The loops compose through it,
 so a fault in ``se3.pose_compose`` cannot move both sides of a comparison.
+``parse_lines`` reads a trajectory file's text one line at a time, checking
+each line in order; ``files.parse_trajectory`` reads it in blocks and must
+give the same arrays, labels and errors.
 """
 
 import numpy as np
 
 from endotrack import se3
-from endotrack.se3 import (ORTHO_TOL, Pose, _ortho_defect, identity_pose, orthonormalize,
-                           rotmat_from_axis_angle)
+from endotrack.errors import TrajectoryParseError, ZeroQuaternion
+from endotrack.files import POSE_BOUND, _beyond_bound, _parse_header, _plain_ascii
+from endotrack.se3 import (ORTHO_TOL, Pose, PoseVec, _ortho_defect, identity_pose, orthonormalize,
+                           pose_from_vec, rotmat_from_axis_angle)
 from endotrack.tracker import DEFAULT_STRIDE, RENORM_EVERY, Trajectory
 
 
@@ -67,3 +72,45 @@ def chain_rebased_loop(gt: Trajectory, rels: Trajectory) -> Trajectory:
         step = pose_compose_reference(prev_gt, rel)
         R[i], t[i] = step.R, step.t
     return Trajectory(R, t, gt.k, gt.unit, gt.start)
+
+
+def parse_lines(text: str) -> Trajectory:
+    unit = None
+    frames: list[int] = []
+    rows: list[list[float]] = []
+    line_nos: list[int] = []
+    line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if unit is None:
+            unit, k = _parse_header(line_no, line)
+            continue
+        tokens = _plain_ascii(line_no, line).split()
+        if len(tokens) != 8:
+            raise TrajectoryParseError(line_no, f"expected 8 fields, got {len(tokens)}")
+        try:
+            frame = int(tokens[0])
+            vals = [float(t) for t in tokens[1:]]
+        except ValueError as e:
+            raise TrajectoryParseError(line_no, str(e)) from None
+        if not all(abs(v) <= POSE_BOUND for v in vals):
+            raise _beyond_bound(f"line {line_no}")
+        if frames and frame - frames[-1] != k:
+            raise TrajectoryParseError(
+                line_no, f"frame index {frame} does not follow {frames[-1]} by k={k}"
+            )
+        frames.append(frame)
+        rows.append(vals)
+        line_nos.append(line_no)
+    if unit is None:
+        raise TrajectoryParseError(line_no, "missing header line 'unit=<mm|cm> k=<int>'")
+    if not rows:
+        raise TrajectoryParseError(line_no, "no pose rows")
+    v = np.array(rows)
+    try:
+        poses = pose_from_vec(PoseVec(v[:, :3], np.roll(v[:, 3:], 1, axis=1)), unit)
+    except ZeroQuaternion as e:
+        raise ZeroQuaternion(f"line {line_nos[e.index[0]]}: {e}") from None
+    return Trajectory(poses.R, poses.t, k, unit, frames[0])
