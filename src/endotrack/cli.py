@@ -1,10 +1,10 @@
 """Command-line surface: synth, track, eval, gradcheck, bench.
 
 Exit codes: 0 success, 2 file parse error (message names the line) or
-usage error, 3 invalid pose in an input file, 4 unit, stride or frame-index
-mismatch between trajectories, 1 for a file that cannot be read or written
-and for other validation failures.  Every failure prints one line.  Run
-values come from flags alone; ``bench`` runs the default widths.
+usage error, 3 invalid pose in an input file, 4 unit, stride, first-frame or
+frame-count mismatch between trajectories, 1 for a file that cannot be read
+or written and for other validation failures.  Every failure prints one
+line.  Run values come from flags alone; ``bench`` runs the default widths.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from .errors import (
     UnitMismatch,
     ZeroQuaternion,
     integer,
+    plain,
 )
-from .files import atomic_write_texts, read_trajectory, trajectory_chunks, write_trajectory
+from .files import UNITS, atomic_write_texts, read_trajectory, trajectory_chunks, write_trajectory
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
 from .se3 import Pose
-from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, perturb_relatives,
-                      synth_trajectory)
+from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, check_frames,
+                      perturb_relatives, synth_trajectory)
 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
@@ -45,12 +46,13 @@ MAX_POSES = 10**6
 MAX_FRAME_PIXELS = 3840 * 2160
 
 
-def _plain(text: str) -> str:
-    """``text`` itself if it is plain ASCII without ``_``, as trajectory files
-    hold numbers; int() and float() would also read Unicode digits and ``_``."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(text)
-    return text
+def _plain_type(kind):
+    """An argparse type: ``kind`` of text that ``errors.plain`` takes, named as
+    ``kind`` is, so argparse refuses other text in one line: "invalid int value"."""
+    def parse(text: str):
+        return kind(plain(text))
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def cmd_synth(args) -> int:
@@ -58,7 +60,7 @@ def cmd_synth(args) -> int:
     if args.n > MAX_POSES:
         raise BadExtent(f"--n must be at most {MAX_POSES}, got {args.n}")
     try:
-        bias = np.array([float(v) for v in _plain(args.bias_t).split(",")]) if args.bias_t else np.zeros(3)
+        bias = np.array([float(v) for v in plain(args.bias_t).split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
         raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
@@ -74,12 +76,8 @@ def cmd_synth(args) -> int:
 def cmd_track(args) -> int:
     rels = read_trajectory(args.rels)
     base = read_trajectory(args.base)
-    if rels.k != base.k:
-        raise AlignmentError(f"stride mismatch: relatives k={rels.k} vs base k={base.k}")
-    if rels.start != base.start + base.k:
-        raise AlignmentError(f"relatives start at frame {rels.start}, but base frame "
-                             f"{base.start} is followed by frame {base.start + base.k}")
     if args.mode == "chained":
+        check_frames(rels, "relatives", base.start + base.k, base.k)
         est = chain_absolute(Pose(base.R[0], base.t[0], base.unit), rels)
     else:
         est = chain_rebased(base, rels)
@@ -108,7 +106,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        h, w = (int(v) for v in _plain(args.size).lower().split("x"))
+        h, w = (int(v) for v in plain(args.size).lower().split("x"))
     except ValueError:
         raise EndotrackError(f"--size must look like 64x64, got {args.size!r}") from None
     if h * w > MAX_FRAME_PIXELS:
@@ -161,16 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "metric evaluation, gradient checks, and a kernel throughput benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    plain_int, plain_float = _plain_type(int), _plain_type(float)
 
     p = sub.add_parser("synth", help="generate a ground-truth trajectory and noisy relative poses")
-    p.add_argument("--n", type=int, default=500, help="number of poses")
-    p.add_argument("--seed", type=int, default=0, help="at least 0")
-    p.add_argument("--k", type=int, default=DEFAULT_STRIDE, help="frame stride, at least 1")
-    p.add_argument("--smoothness", type=float, default=1.0, help="upper bound on step length")
-    p.add_argument("--sigma-t", type=float, default=0.0, help="translation noise std per step")
-    p.add_argument("--sigma-r", type=float, default=0.0, help="rotation noise std per step (radians)")
+    p.add_argument("--n", type=plain_int, default=500, help="number of poses")
+    p.add_argument("--seed", type=plain_int, default=0, help="at least 0")
+    p.add_argument("--k", type=plain_int, default=DEFAULT_STRIDE, help="frame stride, at least 1")
+    p.add_argument("--smoothness", type=plain_float, default=1.0, help="upper bound on step length")
+    p.add_argument("--sigma-t", type=plain_float, default=0.0, help="translation noise std per step")
+    p.add_argument("--sigma-r", type=plain_float, default=0.0, help="rotation noise std per step (radians)")
     p.add_argument("--bias-t", default=None, help="translation bias 'x,y,z'")
-    p.add_argument("--unit", choices=("mm", "cm"), default="mm")
+    p.add_argument("--unit", choices=UNITS, default="mm")
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-rels", required=True)
     p.set_defaults(func=cmd_synth)
@@ -190,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--seed", type=int, default=0, help="at least 0")
+    p.add_argument("--seed", type=plain_int, default=0, help="at least 0")
     p.add_argument("--inject-nan", action="store_true",
                    help="corrupt parameters first (verifies the harness fails loudly)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="time the feature pipeline + decoder per frame pair")
     p.add_argument("--size", default="64x64")
-    p.add_argument("--repeat", type=int, default=30)
-    p.add_argument("--warmup", type=int, default=5)
+    p.add_argument("--repeat", type=plain_int, default=30)
+    p.add_argument("--warmup", type=plain_int, default=5)
     p.add_argument("--f32", action="store_true", help="reduced-precision mode")
     p.set_defaults(func=cmd_bench)
 

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and its two argument checks:
-``integer``, the one rule for integer arguments (nothing is coerced), and
-``same_unit``, the one rule for length-unit tags."""
+"""Exception types shared across the package, and its three argument checks,
+each the one rule for its concern: ``integer`` for integer arguments (nothing
+is coerced), ``same_unit`` for length-unit tags and ``plain`` for numbers in text."""
 
 import numpy as np
 
@@ -71,12 +71,21 @@ def same_unit(a, b, a_name: str, b_name: str) -> None:
         raise UnitMismatch(f"{a_name} unit {a.unit!r} vs {b_name} unit {b.unit!r}")
 
 
+def plain(text: str) -> str:
+    """``text`` itself if it is plain ASCII without ``_``, as files and argv
+    hold numbers; int() and float() would also read Unicode digits and ``_``
+    separators, which no writer emits.  Anything else raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"numbers must be plain ASCII without '_': {text!r}")
+    return text
+
+
 class LengthMismatch(EndotrackError):
-    """Sequence lengths incompatible (e.g. relatives vs. base trajectory)."""
+    """Sequence lengths incompatible (e.g. rotations vs. translations)."""
 
 
 class AlignmentError(EndotrackError):
-    """Trajectories are not frame-aligned (indices or stride differ)."""
+    """Trajectories are not frame-aligned (first frame, stride or count differ)."""
 
 
 class TrajectoryParseError(EndotrackError):

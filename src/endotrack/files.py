@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ArchiveMismatch, EndotrackError, NotARotation, TrajectoryParseError,
-                     ZeroQuaternion)
+                     ZeroQuaternion, plain)
 from .se3 import Pose, PoseVec, pose_from_vec, pose_to_vec
 from .tracker import Trajectory
 from .tree import flatten, map_leaves
@@ -100,8 +100,12 @@ def trajectory_chunks(traj: Trajectory):
     """The file text of ``traj``: an iterator over the header line, then one
     string per block of BLOCK_ROWS rows.  Every row is converted and checked
     in this call, before any text is made: a row that the reader would
-    reject raises NotARotation naming its frame, so nothing is written that
-    cannot be read back."""
+    reject raises NotARotation naming its frame, and a trajectory without
+    rows or in a unit not in UNITS raises EndotrackError, so nothing is
+    written that cannot be read back."""
+    if traj.unit not in UNITS or not len(traj):
+        raise EndotrackError(f"a trajectory file holds at least one row in one of {UNITS}, "
+                             f"got {len(traj)} rows in {traj.unit!r}; nothing was written")
     rows = np.empty((len(traj), 7))
     for r0 in range(0, len(traj), BLOCK_ROWS):
         v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
@@ -135,14 +139,6 @@ def write_trajectory(path, traj: Trajectory) -> None:
     atomic_write_texts([(path, trajectory_chunks(traj))])
 
 
-def _plain_ascii(line_no: int, text: str) -> str:
-    """``text`` itself if it is plain ASCII without ``_``.  int() and float()
-    also read Unicode digits and ``_`` separators, which no writer emits."""
-    if not text.isascii() or "_" in text:
-        raise TrajectoryParseError(line_no, f"numbers must be plain ASCII without '_': {text!r}")
-    return text
-
-
 def _parse_header(line_no: int, line: str) -> tuple[str, int]:
     kv = {}
     for token in line.split():
@@ -157,7 +153,7 @@ def _parse_header(line_no: int, line: str) -> tuple[str, int]:
     if kv["unit"] not in UNITS:
         raise TrajectoryParseError(line_no, f"unit must be one of {UNITS}, got {kv['unit']!r}")
     try:
-        k = int(_plain_ascii(line_no, kv["k"]))
+        k = int(plain(kv["k"]))
     except ValueError:
         raise TrajectoryParseError(line_no, f"stride k must be an integer, got {kv['k']!r}") from None
     if k < 1:
@@ -202,15 +198,13 @@ def _bulk_rows(block: list[str], k: int, last: int | None) -> tuple[int, np.ndar
     """The last frame and the (rows, 7) values of a block of plain rows that
     follows frame ``last``, or None when a line is not a plain row or fails a
     check."""
-    joined = "".join(block)
-    if not joined.isascii() or "_" in joined:
-        return None
     # A blank line has no field, and int() refuses a comment's first one.
     fields = list(map(str.split, block))
     if set(map(len, fields)) != {8}:
         return None
     cells = list(chain.from_iterable(fields))
     try:
+        plain("".join(block))
         # A frame beyond int64 raises OverflowError.
         frames = np.array(list(map(int, cells[0::8])), dtype=np.int64)
         del cells[0::8]
@@ -236,14 +230,16 @@ def _checked_rows(block: list[str], line_no: int, k: int,
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _plain_ascii(line_no, line).split()
-        if len(tokens) != 8:
-            raise TrajectoryParseError(line_no, f"expected 8 fields, got {len(tokens)}")
+        # Spelling first, then the field count, then the numbers.
         try:
-            frame = int(tokens[0])
-            vals = [float(t) for t in tokens[1:]]
+            tokens = plain(line).split()
+            if len(tokens) == 8:
+                frame = int(tokens[0])
+                vals = [float(t) for t in tokens[1:]]
         except ValueError as e:
             raise TrajectoryParseError(line_no, str(e)) from None
+        if len(tokens) != 8:
+            raise TrajectoryParseError(line_no, f"expected 8 fields, got {len(tokens)}")
         # Also rejects NaN and inf.
         if not all(abs(x) <= POSE_BOUND for x in vals):
             raise _beyond_bound(f"line {line_no}")

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, same_unit
+from .errors import same_unit
 from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
-from .tracker import Trajectory
+from .tracker import Trajectory, check_frames
 
 
 def ate(gt: Pose, est: Pose) -> np.ndarray:
@@ -97,13 +97,11 @@ class MetricReport:
 def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
     """Per-frame ATE/CE/DE and per-step RTE/ROT with mean±std summaries.
 
-    Trajectories must agree in unit tag, stride, and frame indices.
+    Raises UnitMismatch unless the unit tags agree and, through
+    check_frames, AlignmentError unless est holds gt's frames.
     """
     same_unit(gt, est, "gt", "est")
-    if gt.k != est.k:
-        raise AlignmentError(f"stride mismatch: {gt.k} vs {est.k}")
-    if gt.start != est.start or len(gt) != len(est):
-        raise AlignmentError("frame indices differ")
+    check_frames(est, "est", gt.start, gt.k, len(gt))
     gt_rels, est_rels = gt.relatives(), est.relatives()
     return MetricReport(gt.frames, ate(gt, est), ce(gt, est), de(gt, est),
                         rte(gt_rels, est_rels), rot(gt_rels, est_rels), gt.unit)

@@ -115,18 +115,18 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_log(q) -> np.ndarray:
-    """Logarithm of a unit quaternion: (v/|v|) * acos(q0), zero at identity.
+    """Logarithm of a unit quaternion: (v/|v|) * atan2(|v|, q0), zero at identity.
 
     The magnitude is the half-angle of the encoded rotation.  Callers are
-    expected to pass a canonical unit quaternion; the acos argument is
-    clamped for floating-point safety.
+    expected to pass a canonical unit quaternion; atan2, unlike acos(q0),
+    keeps the angle's precision near the identity.
     """
     q = np.asarray(q, dtype=float)
     v = q[1:]
     vn = np.linalg.norm(v)
     if vn <= LOG_EPS:
         return np.zeros(3)
-    return (v / vn) * np.arccos(np.clip(q[0], -1.0, 1.0))
+    return (v / vn) * np.arctan2(vn, q[0])
 
 
 def quat_to_rotmat(q) -> np.ndarray:

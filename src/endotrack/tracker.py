@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch, integer, same_unit
+from .errors import AlignmentError, LengthMismatch, ShapeMismatch, integer, same_unit
 from .se3 import (Pose, _pose, identity_pose, orthonormalize, pose_compose, relative_pose,
                   rotmat_from_axis_angle, vec_norm)
 
@@ -103,12 +103,21 @@ class NoiseSpec:
         object.__setattr__(self, "bias_t", bias)
 
 
-def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None,
-                   start: int | None = None) -> Trajectory:
+def check_frames(traj: Trajectory, name: str, start: int, k: int, n: int | None = None) -> None:
+    """The one rule for when two trajectories' frames line up: AlignmentError,
+    naming both first frames, strides and (when checked) counts, unless
+    ``traj``'s rows are frames start, start + k, ... and, given ``n``, n rows."""
+    if traj.start != start or traj.k != k or n is not None and len(traj) != n:
+        have, want = (f"{len(traj)} poses ", f"{n} poses ") if n is not None else ("", "")
+        raise AlignmentError(f"{name}: {have}from frame {traj.start} at stride {traj.k}, "
+                             f"expected {want}from frame {start} at stride {k}")
+
+
+def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajectory:
     """Accumulate relative poses from the initial pose: P_i = P_{i-1} * rel_i.
 
-    Row i is frame ``start + i * k``, by default the frame rels labels it
-    (k = rels.k, p0 one stride before rels).  Rotations are re-orthonormalized
+    p0 is frame ``rels.start - rels.k``, one stride before rels, and the rows
+    follow at stride ``k``, by default rels.k.  Rotations are re-orthonormalized
     every RENORM_EVERY steps (plus the tolerance-triggered fix inside
     pose_compose) so thousand-step chains stay valid.  Raises ShapeMismatch
     unless p0 is a single pose and UnitMismatch unless p0 and rels share a unit.
@@ -124,8 +133,7 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None,
         if i % RENORM_EVERY == 0:
             cur = _pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
-    return Trajectory(R, t, rels.k if k is None else k, p0.unit,
-                      rels.start - rels.k if start is None else start)
+    return Trajectory(R, t, rels.k if k is None else k, p0.unit, rels.start - rels.k)
 
 
 def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
@@ -133,11 +141,10 @@ def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
 
     Per-step errors do not accumulate; the first pose is the ground truth
     initial pose.  Raises UnitMismatch unless gt and rels share a unit and
-    LengthMismatch unless len(rels) == len(gt) - 1.
+    AlignmentError unless rels hold the len(gt) - 1 frames after gt's first.
     """
     same_unit(gt, rels, "gt", "rels")
-    if len(rels) != len(gt) - 1:
-        raise LengthMismatch(f"{len(rels)} relatives for a {len(gt)}-pose trajectory")
+    check_frames(rels, "rels", gt.start + gt.k, gt.k, len(gt) - 1)
     R, t = gt.R.copy(), gt.t.copy()
     for i, (gt_R, gt_t, rel_R, rel_t) in enumerate(zip(gt.R, gt.t, rels.R, rels.t), start=1):
         step = pose_compose(_pose(gt_R, gt_t, gt.unit), _pose(rel_R, rel_t, rels.unit))

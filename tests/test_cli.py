@@ -152,7 +152,7 @@ class TestTrack:
             capsys, "track", str(rels), "--base", str(short), "--mode", "rebased",
             "--out", str(tmp_path / "est.txt"),
         )
-        assert code == 1
+        assert code == 4
 
     @pytest.mark.parametrize("mode", ["chained", "rebased"])
     def test_misaligned_relatives_exit_4(self, tmp_path, capsys, mode):
@@ -448,6 +448,24 @@ class TestUsageErrors:
         assert exited.value.code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert name in captured.err
+
+    # argparse's own int() and float() also read "_" separators and Unicode
+    # digits (U+0663 is ARABIC-INDIC DIGIT THREE); the nine number options refuse both.
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    @pytest.mark.parametrize("command, option, kind", [
+        ("synth", "--n", "int"), ("synth", "--seed", "int"), ("synth", "--k", "int"),
+        ("synth", "--smoothness", "float"), ("synth", "--sigma-t", "float"),
+        ("synth", "--sigma-r", "float"), ("gradcheck", "--seed", "int"),
+        ("bench", "--repeat", "int"), ("bench", "--warmup", "int"),
+    ])
+    def test_number_options_need_plain_ascii(self, tmp_path, capsys, command, option, kind, value):
+        outs = ["--out-gt", str(tmp_path / "gt.txt"), "--out-rels", str(tmp_path / "rels.txt")]
+        with pytest.raises(SystemExit) as exited:
+            main([command, option, value, *(outs if command == "synth" else [])])
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and captured.out == ""
+        assert captured.err == f"error: argument {option}: invalid {kind} value: {value!r}\n"
+        assert not list(tmp_path.iterdir())
 
 
 def test_readme_examples_parse():

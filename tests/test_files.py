@@ -155,6 +155,14 @@ class TestWriteBound:
         with pytest.raises(NotARotation, match="frame 9: pose values must be finite"):
             format_trajectory(replace(traj, t=t))
 
+    @pytest.mark.parametrize("rows, unit", [(5, "furlong"), (5, "MM"), (0, "mm")])
+    def test_unknown_unit_or_no_rows_writes_nothing(self, tmp_path, rows, unit):
+        traj = et.synth_trajectory(5, seed=2)
+        bad = et.Trajectory(traj.R[:rows], traj.t[:rows], traj.k, unit)
+        with pytest.raises(EndotrackError, match=re.escape(f"got {rows} rows in {unit!r}")):
+            files.write_trajectory(tmp_path / "t.txt", bad)
+        assert not list(tmp_path.iterdir())
+
     def test_at_bound_round_trips(self):
         traj = et.synth_trajectory(4, seed=2)
         t = traj.t.copy()

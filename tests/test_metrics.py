@@ -192,6 +192,17 @@ class TestEvaluate:
         with pytest.raises(AlignmentError):
             et.evaluate(gt, est_k2)
 
+    @pytest.mark.parametrize("k, start, n, have", [
+        (7, 0, 5, "5 poses from frame 0 at stride 7"),
+        (4, 100, 5, "5 poses from frame 100 at stride 4"),
+        (4, 0, 4, "4 poses from frame 0 at stride 4"),
+    ])
+    def test_misaligned_estimate_names_both_frames(self, k, start, n, have):
+        gt = et.synth_trajectory(5, seed=1)
+        est = et.Trajectory(gt.R[:n], gt.t[:n], k, gt.unit, start)
+        with pytest.raises(AlignmentError, match=f"est: {have}, expected 5 poses from frame 0 at stride 4"):
+            et.evaluate(gt, est)
+
     def test_noisy_run_matches_scalar_oracles(self):
         gt = et.synth_trajectory(50, seed=9)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, sigma_r=0.01, seed=10))

@@ -67,6 +67,12 @@ class TestQuatLog:
     def test_half_turn(self):
         assert np.allclose(et.quat_log([0, 1, 0, 0]), [math.pi / 2, 0, 0], atol=1e-12)
 
+    # acos(cos h) cancels near the identity: at h = 1e-7 it is 4e-4 relative off.
+    # abs=0, since pytest.approx's default absolute tolerance would pass that.
+    @pytest.mark.parametrize("h", [1e-4, 1e-6, 1e-7])
+    def test_small_angle_keeps_precision(self, h):
+        assert et.quat_log([math.cos(h), math.sin(h), 0, 0])[0] == pytest.approx(h, rel=1e-15, abs=0)
+
     @given(unit_quats)
     @settings(max_examples=200)
     def test_matches_rotation_angle(self, q):

@@ -6,7 +6,7 @@ import pytest
 
 import endotrack as et
 from endotrack import files, se3, tracker
-from endotrack.errors import LengthMismatch, ShapeMismatch, UnitMismatch
+from endotrack.errors import AlignmentError, LengthMismatch, ShapeMismatch, UnitMismatch
 
 from helpers import random_pose, trajectory_of
 from trajectory_oracle import chain_absolute_loop, chain_rebased_loop, synth_trajectory_loop
@@ -108,7 +108,7 @@ class TestChainAbsolute:
 
     def test_frames_and_unit(self, rng):
         p0 = random_pose(rng, unit="cm")
-        traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3), k=2, start=10)
+        traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3, start=14), k=2)
         assert traj.frames == (10, 12, 14, 16)
         assert traj.unit == "cm"
 
@@ -120,7 +120,6 @@ class TestChainAbsolute:
         traj = et.chain_absolute(p0, rels)
         assert (traj.k, traj.frames) == (3, (7, 10, 13, 16))
         assert et.chain_absolute(p0, rels, k=2).frames == (7, 9, 11, 13)
-        assert et.chain_absolute(p0, rels, start=0).frames == (0, 3, 6, 9)
 
     def test_mixed_units_refused(self, rng):
         rels = trajectory_of([random_pose(rng, unit="mm")] * 3)
@@ -143,8 +142,21 @@ class TestChainRebased:
 
     def test_length_mismatch(self):
         gt = et.synth_trajectory(5, seed=0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(AlignmentError):
             et.chain_rebased(gt, trajectory_of(gt.relatives().poses[:-1]))
+
+    # Relatives at another stride, from another frame or of another count.
+    @pytest.mark.parametrize("k, start, n, have", [
+        (7, 4, 4, "4 poses from frame 4 at stride 7"),
+        (4, 100, 4, "4 poses from frame 100 at stride 4"),
+        (4, 4, 3, "3 poses from frame 4 at stride 4"),
+    ])
+    def test_misaligned_relatives_refused(self, k, start, n, have):
+        gt = et.synth_trajectory(5, seed=0)
+        exact = gt.relatives()
+        rels = et.Trajectory(exact.R[:n], exact.t[:n], k, exact.unit, start)
+        with pytest.raises(AlignmentError, match=f"rels: {have}, expected 4 poses from frame 4 at stride 4"):
+            et.chain_rebased(gt, rels)
 
     def test_mixed_units_refused(self):
         gt = et.synth_trajectory(5, seed=0, unit="cm")
@@ -292,8 +304,7 @@ class TestAgainstLoopOracle:
         for seed in (1, 2):
             rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, sigma_r=0.01, seed=seed))
             p0 = random_pose(rng, unit="cm")
-            assert_same_bits(et.chain_absolute(p0, rels, k=3, start=6),
-                             chain_absolute_loop(p0, rels, k=3, start=6))
+            assert_same_bits(et.chain_absolute(p0, rels, k=3), chain_absolute_loop(p0, rels, k=3))
             assert_same_bits(et.chain_rebased(gt, rels), chain_rebased_loop(gt, rels))
 
     def test_chains_with_drift_repair(self, rng, monkeypatch):

@@ -16,8 +16,8 @@ give the same arrays, labels and errors.
 import numpy as np
 
 from endotrack import se3
-from endotrack.errors import TrajectoryParseError, ZeroQuaternion
-from endotrack.files import POSE_BOUND, _beyond_bound, _parse_header, _plain_ascii
+from endotrack.errors import TrajectoryParseError, ZeroQuaternion, plain
+from endotrack.files import POSE_BOUND, _beyond_bound, _parse_header
 from endotrack.se3 import (ORTHO_TOL, Pose, PoseVec, _ortho_defect, identity_pose, orthonormalize,
                            pose_from_vec, rotmat_from_axis_angle)
 from endotrack.tracker import DEFAULT_STRIDE, RENORM_EVERY, Trajectory
@@ -52,8 +52,7 @@ def synth_trajectory_loop(n: int, smoothness: float = 1.0, seed: int = 0,
     return Trajectory(R, t, k, unit)
 
 
-def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int | None = None,
-                        start: int | None = None) -> Trajectory:
+def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajectory:
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
@@ -62,8 +61,7 @@ def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int | None = None,
         if i % RENORM_EVERY == 0:
             cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
-    return Trajectory(R, t, rels.k if k is None else k, p0.unit,
-                      rels.start - rels.k if start is None else start)
+    return Trajectory(R, t, rels.k if k is None else k, p0.unit, rels.start - rels.k)
 
 
 def chain_rebased_loop(gt: Trajectory, rels: Trajectory) -> Trajectory:
@@ -87,7 +85,10 @@ def parse_lines(text: str) -> Trajectory:
         if unit is None:
             unit, k = _parse_header(line_no, line)
             continue
-        tokens = _plain_ascii(line_no, line).split()
+        try:
+            tokens = plain(line).split()
+        except ValueError as e:
+            raise TrajectoryParseError(line_no, str(e)) from None
         if len(tokens) != 8:
             raise TrajectoryParseError(line_no, f"expected 8 fields, got {len(tokens)}")
         try:
