@@ -39,7 +39,8 @@ from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, 
 # The decoder width bench runs, as the benchmark's track workloads do.
 BENCH_DECODER_CHANNELS = 12
 # Largest synth --n: 100x the benchmark's 1e4-pose pass; synth --n 1000000
-# measured 634 MB peak RSS and 28 s on a 2-core Xeon (one BLAS thread).
+# measured 649 MB peak RSS and 22-28 s on a 2-core Xeon (one BLAS thread,
+# scripts/peak_rss.py).
 MAX_POSES = 10**6
 # Largest bench --size area, a 4K frame: 3840x2160 in float64 measured 2.47 GB
 # peak RSS and 8 s on a 2-core Xeon (about 300 B a pixel).
@@ -90,10 +91,9 @@ def cmd_eval(args) -> int:
     gt = read_trajectory(args.gt)
     est = read_trajectory(args.est)
     report = evaluate(gt, est)
-    text = report.to_text()
-    print(text)
+    sys.stdout.writelines(report.chunks())
     if args.out:
-        atomic_write_texts([(args.out, [text, "\n"])])
+        atomic_write_texts([(args.out, report.chunks())])
     return 0
 
 

@@ -12,14 +12,16 @@ Relative-pose sequences use the same format; their indices are the target
 frames (k, 2k, ...).  Every value is finite and at most ``POSE_BOUND`` in
 magnitude, on reading and on writing alike.
 
-Rows are written and read ``BLOCK_ROWS`` at a time.  ``trajectory_chunks``
-checks every row, then yields the header and one string per block, and
-``atomic_write_texts`` streams such chunks into place, so a write never
-holds a whole file's text.  ``parse_trajectory`` is the one reader: after
-the header it splits and converts each block of lines in bulk and checks
-the block as arrays.  Only a block that holds a comment, a blank line, text
-other than plain ASCII, an ``_`` or a row that fails a check goes through
-the per-line checks, which raise for its first faulty line and name it.
+Rows are written and read ``BLOCK_ROWS`` at a time, so no file's text is
+held whole.  ``trajectory_chunks`` checks every row, then yields the header
+and one string per block, and ``atomic_write_texts`` streams such chunks
+into place.  ``parse_trajectory`` (a text) and ``read_trajectory`` (a file,
+read and decoded a cut at a time) feed one reader with lists of lines:
+after the header it splits and converts each block of lines in bulk, checks
+the block as arrays and converts it to rotations straight into the result.
+Only a block that holds a comment, a blank line, text other than plain
+ASCII, an ``_`` or a row that fails a check goes through the per-line
+checks, which raise for its first faulty line and name it.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ from .tree import flatten, map_leaves
 UNITS = ("mm", "cm")
 # Squared norms of sums of values this size stay finite.
 POSE_BOUND = 1e150
-# Rows per formatted or parsed block.  Larger blocks raised the traj-10k
-# benchmark's peak RSS (4096 rows: 60.4 MB against 55.5 MB); measure before
-# raising it.
+# Rows per formatted, parsed or evaluated block.  Larger blocks raised the
+# traj-10k benchmark's peak RSS (4096 rows: 60.4 MB against 55.5 MB); measure
+# before raising it.
 BLOCK_ROWS = 1024
+# Bytes of text or file cut at a time for the reader, about BLOCK_ROWS rows.
+_BLOCK_BYTES = BLOCK_ROWS * 128
 # One file row; %r is repr, the shortest string that reads back as the same float.
 _ROW = "%d %r %r %r %r %r %r %r\n"
 
@@ -167,31 +171,99 @@ def parse_trajectory(text: str) -> Trajectory:
     beyond POSE_BOUND and ZeroQuaternion for a row without a rotation.  The
     first faulty line decides; ZeroQuaternion comes only once every row has
     passed."""
-    lines = text.splitlines()
-    for head, raw in enumerate(lines, start=1):
+    return _parse_blocks(_text_lines(text), text.count("\n") + 1)
+
+
+def read_trajectory(path) -> Trajectory:
+    """The trajectory in the file at ``path``, read as ``parse_trajectory``
+    reads text, with one more fault: a byte that is not UTF-8 raises
+    TrajectoryParseError naming its line.  That fault comes first wherever
+    it lies, as it would if the whole file were decoded before parsing."""
+    with open(path, "rb") as f:
+        # A pipe cannot be read twice; its arrays grow as they fill.
+        capacity = 0
+        if f.seekable():
+            capacity = sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 20), b"")) + 1
+            f.seek(0)
+        blocks = _file_lines(f)
+        try:
+            return _parse_blocks(blocks, capacity)
+        except EndotrackError:
+            # Decode the rest: a byte that is not UTF-8 there is the fault to name.
+            for _ in blocks:
+                pass
+            raise
+
+
+def _text_lines(text: str):
+    """The lines of ``text`` in lists, cut after the last "\n" within each
+    _BLOCK_BYTES characters (or after the first "\n" past them)."""
+    pos = 0
+    while pos < len(text):
+        cut = (text.rfind("\n", pos, pos + _BLOCK_BYTES) + 1
+               or text.find("\n", pos + _BLOCK_BYTES) + 1 or len(text))
+        yield text[pos:cut].splitlines()
+        pos = cut
+
+
+def _file_lines(f):
+    """The lines of a binary file in lists, decoded about _BLOCK_BYTES at a
+    time.  A cut falls after a "\n" byte, which never lies inside a UTF-8
+    sequence, so no character is split.  A byte that is not UTF-8 raises
+    TrajectoryParseError naming its line, counted by ``splitlines``."""
+    seen = 0
+    while data := b"".join(f.readlines(_BLOCK_BYTES)):
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            # The bytes before the first bad one decode; "x" stands for the line it starts.
+            raise TrajectoryParseError(seen + len((data[:e.start].decode("utf-8") + "x").splitlines()),
+                                       f"byte {data[e.start]:#04x} is not UTF-8 text") from None
+        seen += len(lines)
+        yield lines
+
+
+def _parse_blocks(line_lists, capacity: int) -> Trajectory:
+    """The one reader: the header, then each block of BLOCK_ROWS lines
+    through ``_bulk_rows`` or, refused there, ``_checked_rows``, converted
+    to R and t on its own into arrays of ``capacity`` rows (the count of
+    "\n" plus one), which double when they fill: when other breaks end
+    lines, or when nothing was counted.
+    ``line_lists`` yields the lines in lists of any length."""
+    lines = chain.from_iterable(line_lists)
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             break
     else:
-        raise TrajectoryParseError(len(lines), "missing header line 'unit=<mm|cm> k=<int>'")
-    unit, k = _parse_header(head, line)
-    v, n, last = np.empty((len(lines) - head, 7)), 0, None
-    for b in range(head, len(lines), BLOCK_ROWS):
-        block = lines[b:b + BLOCK_ROWS]
-        last, rows = _bulk_rows(block, k, last) or _checked_rows(block, b + 1, k, last)
-        v[n:n + len(rows)] = rows
+        raise TrajectoryParseError(line_no, "missing header line 'unit=<mm|cm> k=<int>'")
+    unit, k = _parse_header(line_no, line)
+    R, t, n, last, zero = np.empty((capacity, 3, 3)), np.empty((capacity, 3)), 0, None, None
+    while block := list(islice(lines, BLOCK_ROWS)):
+        last, rows = _bulk_rows(block, k, last) or _checked_rows(block, line_no + 1, k, last)
+        if len(rows) and zero is None:
+            try:
+                # Scalar-last on disk -> scalar-first internally.
+                poses = pose_from_vec(PoseVec(rows[:, :3], np.roll(rows[:, 3:], 1, axis=1)), unit)
+            except ZeroQuaternion as e:
+                row_lines = (no for no, raw in enumerate(block, start=line_no + 1)
+                             if raw.strip()[:1] not in ("", "#"))
+                zero = ZeroQuaternion(f"line {next(islice(row_lines, e.index[0], None))}: {e}")
+            else:
+                if n + len(rows) > len(t):
+                    grow = max(n, BLOCK_ROWS)
+                    R = np.concatenate([R[:n], np.empty((grow, 3, 3))])
+                    t = np.concatenate([t[:n], np.empty((grow, 3))])
+                R[n:n + len(rows)], t[n:n + len(rows)] = poses.R, poses.t
         n += len(rows)
+        line_no += len(block)
+    if zero is not None:
+        raise zero
     if n == 0:
-        raise TrajectoryParseError(len(lines), "no pose rows")
-    try:
-        # Scalar-last on disk -> scalar-first internally.
-        poses = pose_from_vec(PoseVec(v[:n, :3], np.roll(v[:n, 3:], 1, axis=1)), unit)
-    except ZeroQuaternion as e:
-        row_lines = (no for no, raw in enumerate(lines[head:], start=head + 1)
-                     if raw.strip()[:1] not in ("", "#"))
-        raise ZeroQuaternion(f"line {next(islice(row_lines, e.index[0], None))}: {e}") from None
+        raise TrajectoryParseError(line_no, "no pose rows")
     # Every stride was checked exactly, so the first frame follows from the last.
-    return Trajectory(poses.R, poses.t, k, unit, last - (n - 1) * k)
+    return Trajectory(R[:n], t[:n], k, unit, last - (n - 1) * k)
 
 
 def _bulk_rows(block: list[str], k: int, last: int | None) -> tuple[int, np.ndarray] | None:
@@ -248,23 +320,6 @@ def _checked_rows(block: list[str], line_no: int, k: int,
         last = frame
         rows.append(vals)
     return last, np.reshape(rows, (-1, 7))
-
-
-def _read_text(path) -> str:
-    """The file decoded as UTF-8.  A byte that is not UTF-8 raises
-    TrajectoryParseError naming its line, counted by the reader's own
-    ``splitlines`` rule, as any other malformed text does."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # The bytes before the first bad one decode; "x" stands for the line it starts.
-        raise TrajectoryParseError(len((data[:e.start].decode("utf-8") + "x").splitlines()),
-                                   f"byte {data[e.start]:#04x} is not UTF-8 text") from None
-
-
-def read_trajectory(path) -> Trajectory:
-    return parse_trajectory(_read_text(path))
 
 
 def save_params(path, params) -> None:

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import same_unit
-from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
+from .errors import LengthMismatch, same_unit
+from .files import BLOCK_ROWS
+from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, relative_pose, vec_norm
 from .tracker import Trajectory, check_frames
 
 
@@ -65,11 +66,15 @@ def rot(gt_rel: Pose, est_rel: Pose) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricReport:
-    frames: tuple
+    """The five series of ``evaluate``: ate, ce and de one entry per frame,
+    rte and rot one per consecutive frame pair.  ``chunks`` yields the report
+    text a block of frames at a time, so it is never held whole."""
+
+    frames: range
     ate: np.ndarray
     ce: np.ndarray
     de: np.ndarray
-    rte: np.ndarray  # one entry per consecutive frame pair
+    rte: np.ndarray
     rot: np.ndarray
     unit: str
 
@@ -81,27 +86,49 @@ class MetricReport:
         return {name: (float(np.mean(s)), float(np.std(s))) if s.size else (0.0, 0.0)
                 for name, s in series.items()}
 
-    def to_text(self) -> str:
-        lines = [f"# unit={self.unit} frames={len(self.frames)}",
-                 "frame ate ce de rte rot"]
-        for i, frame in enumerate(self.frames):
-            rel = f"{self.rte[i - 1]:.6g} {self.rot[i - 1]:.6g}" if i > 0 else "- -"
-            lines.append(f"{frame} {self.ate[i]:.6g} {self.ce[i]:.6g} {self.de[i]:.6g} {rel}")
-        lines.append("summary (mean±std)")
+    def chunks(self):
+        """The report text, each line ending in a newline: the header, one
+        string per block of BLOCK_ROWS frames, then the summary."""
+        yield f"# unit={self.unit} frames={len(self.frames)}\nframe ate ce de rte rot\n"
+        for lo in range(0, len(self.frames), BLOCK_ROWS):
+            lines = []
+            for i in range(lo, min(lo + BLOCK_ROWS, len(self.frames))):
+                rel = f"{self.rte[i - 1]:.6g} {self.rot[i - 1]:.6g}" if i > 0 else "- -"
+                lines.append(f"{self.frames[i]} {self.ate[i]:.6g} {self.ce[i]:.6g} {self.de[i]:.6g} {rel}\n")
+            yield "".join(lines)
+        lines = ["summary (mean±std)\n"]
         for name, (m, s) in self.summary().items():
             suffix = self._UNITS[name].format(unit=self.unit)
-            lines.append(f"  {name:<4} {m:.6g}±{s:.6g} {suffix}".rstrip())
-        return "\n".join(lines)
+            lines.append(f"  {name:<4} {m:.6g}±{s:.6g} {suffix}".rstrip() + "\n")
+        yield "".join(lines)
+
+    def to_text(self) -> str:
+        """The whole report, without the last newline."""
+        return "".join(self.chunks())[:-1]
 
 
 def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
     """Per-frame ATE/CE/DE and per-step RTE/ROT with mean±std summaries.
 
-    Raises UnitMismatch unless the unit tags agree and, through
-    check_frames, AlignmentError unless est holds gt's frames.
+    The series are filled BLOCK_ROWS rows at a time, so no temporary spans
+    the trajectories; each block's steps run from the row before it.
+    Raises UnitMismatch unless the unit tags agree, LengthMismatch for a gt
+    without rows and, through check_frames, AlignmentError unless est holds
+    gt's frames.
     """
     same_unit(gt, est, "gt", "est")
+    if not len(gt):
+        raise LengthMismatch(f"gt: need at least 1 pose, got {len(gt)}")
     check_frames(est, "est", gt.start, gt.k, len(gt))
-    gt_rels, est_rels = gt.relatives(), est.relatives()
-    return MetricReport(gt.frames, ate(gt, est), ce(gt, est), de(gt, est),
-                        rte(gt_rels, est_rels), rot(gt_rels, est_rels), gt.unit)
+    n = len(gt)
+    report = MetricReport(range(gt.start, gt.start + n * gt.k, gt.k), np.empty(n), np.empty(n),
+                          np.empty(n), np.empty(n - 1), np.empty(n - 1), gt.unit)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi, before = min(lo + BLOCK_ROWS, n), max(lo - 1, 0)
+        g, e = (Pose(traj.R[lo:hi], traj.t[lo:hi], traj.unit) for traj in (gt, est))
+        report.ate[lo:hi], report.ce[lo:hi], report.de[lo:hi] = ate(g, e), ce(g, e), de(g, e)
+        g_rel, e_rel = (relative_pose(Pose(traj.R[before:hi - 1], traj.t[before:hi - 1], traj.unit),
+                                      Pose(traj.R[before + 1:hi], traj.t[before + 1:hi], traj.unit))
+                        for traj in (gt, est))
+        report.rte[before:hi - 1], report.rot[before:hi - 1] = rte(g_rel, e_rel), rot(g_rel, e_rel)
+    return report

@@ -33,6 +33,11 @@ from .errors import NotARotation, ShapeMismatch, ZeroQuaternion, same_unit
 LOG_EPS = 1e-8
 # Orthonormality defect that triggers re-orthonormalization after composing.
 ORTHO_TOL = 1e-9
+# |cos ry| at or below which euler_from_rotmat takes its gimbal-lock branch.
+# Rebuilding R from the angles errs by about 2 |cos ry| in that branch and by
+# about 6e-16 / |cos ry| outside it, for entries off by rounding; the two meet
+# near 2e-8, where either errs by at most about 4e-8.
+LOCK_TOL = 2e-8
 # Shared by every drift test (so a compose allocates no identity) and by
 # orthonormalize; read-only.
 _EYE3 = np.eye(3)
@@ -178,13 +183,15 @@ def rotmat_from_axis_angle(axis, angle) -> np.ndarray:
 def euler_from_rotmat(R) -> tuple:
     """Extrinsic X-Y-Z angles (rx, ry, rz) with R = Rz @ Ry @ Rx.
 
-    At gimbal lock (|R[2,0]| within 1e-9 of 1) the decomposition is not
+    At gimbal lock, where R[2,1] and R[2,2] (cos ry times the sine and
+    cosine of rx) are both within LOCK_TOL of zero, the decomposition is not
     unique; rz is fixed to 0 and rx absorbs the remaining freedom.
     """
     R = np.asarray(R, dtype=float)
     sy = -R[..., 2, 0]
-    ry = np.arctan2(sy, np.hypot(R[..., 2, 1], R[..., 2, 2]))
-    lock = np.abs(R[..., 2, 0]) >= 1.0 - 1e-9
+    cy = np.hypot(R[..., 2, 1], R[..., 2, 2])
+    ry = np.arctan2(sy, cy)
+    lock = cy <= LOCK_TOL
     s = np.where(sy > 0, 1.0, -1.0)
     rx = np.where(lock, np.arctan2(s * R[..., 0, 1], s * R[..., 0, 2]),
                   np.arctan2(R[..., 2, 1], R[..., 2, 2]))

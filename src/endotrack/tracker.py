@@ -140,10 +140,13 @@ def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:
     """Compose each estimated relative onto the ground-truth previous pose.
 
     Per-step errors do not accumulate; the first pose is the ground truth
-    initial pose.  Raises UnitMismatch unless gt and rels share a unit and
-    AlignmentError unless rels hold the len(gt) - 1 frames after gt's first.
+    initial pose.  Raises UnitMismatch unless gt and rels share a unit,
+    LengthMismatch for a gt without rows and AlignmentError unless rels hold
+    the len(gt) - 1 frames after gt's first.
     """
     same_unit(gt, rels, "gt", "rels")
+    if not len(gt):
+        raise LengthMismatch(f"gt: need at least 1 pose, got {len(gt)}")
     check_frames(rels, "rels", gt.start + gt.k, gt.k, len(gt) - 1)
     R, t = gt.R.copy(), gt.t.copy()
     for i, (gt_R, gt_t, rel_R, rel_t) in enumerate(zip(gt.R, gt.t, rels.R, rels.t), start=1):

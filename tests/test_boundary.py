@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from endotrack import files as trajectory_files
 from endotrack.cli import main
-from endotrack.files import parse_trajectory
+from endotrack.files import parse_trajectory, read_trajectory
 
-from trajectory_oracle import parse_lines
+from trajectory_oracle import parse_lines, read_lines
 
 # The last two are bytes that are not UTF-8, as surrogateescape writes them:
 # 0xff, and a 0xc3 whose continuation byte is cut off.
@@ -150,3 +150,19 @@ def test_block_reader_agrees_with_per_line_reader(files, target, ops, lead, bloc
     with mock.patch.object(trajectory_files, "BLOCK_ROWS", block_rows):
         got = outcome(parse_trajectory, text)
     assert got == outcome(parse_lines, text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["gt", "rels"]), ops=st.lists(reader_mutation, max_size=3),
+       lead=st.sampled_from(["", "# lead\n", "\n", " \n# a\n\t\n"]),
+       block_rows=st.sampled_from([1, 2, 4, 1024]), block_bytes=st.sampled_from([1, 16, 100, 1 << 17]))
+def test_readers_cut_anywhere_agree_with_per_line_reader(files, target, ops, lead, block_rows, block_bytes):
+    """The text and the file reader, whatever their cuts, against the
+    per-line reader of the whole text."""
+    text = lead + mutate((files / f"{target}.txt").read_text(), ops)
+    path = files / "cut.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with mock.patch.object(trajectory_files, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(trajectory_files, "_BLOCK_BYTES", block_bytes):
+        got = outcome(parse_trajectory, text), outcome(read_trajectory, path)
+    assert got == (outcome(parse_lines, text), outcome(read_lines, path))

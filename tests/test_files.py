@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -195,6 +196,7 @@ class TestBlocks:
         assert path.read_bytes() == text.encode()
         back = parse_trajectory(text)
         assert_same_trajectory(back, parse_lines(text))
+        assert_same_trajectory(et.read_trajectory(path), back)
         assert back.frames == traj.frames and np.array_equal(back.t, traj.t)
 
     @pytest.mark.parametrize("field, token, error", [
@@ -217,6 +219,54 @@ class TestBlocks:
         lines[row] = " ".join(fields)
         with pytest.raises(error, match=f"line {row + 1}:"):
             parse_trajectory("\n".join(lines) + "\n")
+
+    # Each file holds BLOCK_ROWS + 10 rows; a fault is (row, what), and the
+    # reader must name the line of the first row listed.
+    @pytest.mark.parametrize("faults, error", [
+        ([(BLOCK_ROWS + 5, "zero")], ZeroQuaternion),
+        ([(BLOCK_ROWS + 5, "byte")], TrajectoryParseError),
+        ([(BLOCK_ROWS + 5, "field"), (3, "zero")], TrajectoryParseError),
+        ([(BLOCK_ROWS + 5, "byte"), (3, "field")], TrajectoryParseError),
+    ], ids=["zero-quaternion", "not-utf8", "field-before-zero-quaternion", "not-utf8-before-field"])
+    def test_file_fault_in_second_block_names_its_line(self, tmp_path, faults, error):
+        lines = format_trajectory(et.synth_trajectory(BLOCK_ROWS + 10, seed=4)).encode().splitlines()
+        for row, what in faults:
+            fields = lines[row].split()
+            if what == "zero":
+                fields[4:] = [b"0"] * 4
+            elif what == "byte":
+                fields[2] = b"\xff"
+            else:
+                fields.append(b"0")
+            lines[row] = b" ".join(fields)
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(error, match=f"line {faults[0][0] + 1}:"):
+            et.read_trajectory(path)
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\u2028"])
+    def test_lines_without_newline_read(self, tmp_path, brk):
+        # The arrays are sized by the count of "\n"; here there is none to count.
+        text = format_trajectory(et.synth_trajectory(BLOCK_ROWS + 5, seed=3)).replace("\n", brk)
+        want = parse_lines(text)
+        assert_same_trajectory(parse_trajectory(text), want)
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        assert_same_trajectory(et.read_trajectory(path), want)
+
+    def test_pipe_read(self, tmp_path):
+        # A pipe cannot be read twice to size the arrays first.
+        text = format_trajectory(et.synth_trajectory(2 * BLOCK_ROWS + 5, seed=5))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            got = et.read_trajectory(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_same_trajectory(got, parse_lines(text))
 
     def test_per_line_checks_run_only_on_a_block_at_fault(self, monkeypatch):
         traj = et.synth_trajectory(2 * BLOCK_ROWS + 3, seed=2)
@@ -268,6 +318,21 @@ class TestWriteMemory:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+
+class TestReadMemory:
+    def test_read_peak_against_file_size(self, tmp_path):
+        # Measured 1.28x the file's size; bound 1.6x.  A whole-text reader,
+        # holding the bytes, the text and its line list at once, took 4.28x.
+        path = tmp_path / "t.txt"
+        et.write_trajectory(path, et.synth_trajectory(20_000, seed=1))
+        tracemalloc.start()
+        try:
+            et.read_trajectory(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * path.stat().st_size
 
 
 class TestParamArchives:

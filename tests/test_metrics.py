@@ -3,13 +3,15 @@ for the Euler decomposition and the rotation angle, never the package's own
 code path."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 import endotrack as et
-from endotrack.errors import AlignmentError, UnitMismatch
+from endotrack.errors import AlignmentError, LengthMismatch, UnitMismatch
+from endotrack.files import BLOCK_ROWS
 
 from helpers import random_pose, trajectory_of
 
@@ -183,6 +185,11 @@ class TestEvaluate:
         text = rep.to_text()
         assert "mean±std" in text
 
+    def test_empty_gt_refused(self):
+        empty = et.Trajectory(np.empty((0, 3, 3)), np.empty((0, 3)))
+        with pytest.raises(LengthMismatch, match="gt: need at least 1 pose, got 0"):
+            et.evaluate(empty, empty)
+
     def test_mismatches(self, rng):
         gt = et.synth_trajectory(5, seed=1, unit="mm")
         est_cm = et.synth_trajectory(5, seed=1, unit="cm")
@@ -233,6 +240,43 @@ class TestEvaluate:
         assert np.all((rep.rot >= 0.0) & (rep.rot <= 180.0))
         assert np.all((rep.ce >= 0.0) & (rep.ce <= 2.0))
         assert np.all(np.isfinite(rep.ate))
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_blocks_match_whole_arrays(self, n):
+        """Each series equals the metric called on whole arrays, and the
+        streamed text equals the report laid out one line per frame."""
+        gt = et.synth_trajectory(n, seed=n)
+        rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.002, seed=1))
+        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        rep = et.evaluate(gt, est)
+        gt_rels, est_rels = gt.relatives(), est.relatives()
+        whole = {"ate": et.ate(gt, est), "ce": et.ce(gt, est), "de": et.de(gt, est),
+                 "rte": et.rte(gt_rels, est_rels), "rot": et.rot(gt_rels, est_rels)}
+        for name, series in whole.items():
+            assert np.array_equal(getattr(rep, name), series), name
+        lines = [f"# unit=mm frames={n}", "frame ate ce de rte rot"]
+        for i, frame in enumerate(gt.frames):
+            rel = f"{rep.rte[i - 1]:.6g} {rep.rot[i - 1]:.6g}" if i > 0 else "- -"
+            lines.append(f"{frame} {rep.ate[i]:.6g} {rep.ce[i]:.6g} {rep.de[i]:.6g} {rel}")
+        chunks = list(rep.chunks())
+        assert len(chunks) == 2 + -(-n // BLOCK_ROWS)
+        assert "".join(chunks) == rep.to_text() + "\n"
+        assert rep.to_text().splitlines()[:n + 2] == lines
+
+    def test_peak_against_inputs(self):
+        # Measured 0.355x the four input arrays; bound 0.5x.  Evaluating
+        # whole arrays at once took 2.35x.
+        gt = et.synth_trajectory(20_000, seed=1)
+        rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.002, seed=2))
+        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        inputs = sum(a.nbytes for a in (gt.R, gt.t, est.R, est.t))
+        tracemalloc.start()
+        try:
+            et.evaluate(gt, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * inputs
 
     def test_to_text_layout(self):
         gt = et.synth_trajectory(4, seed=2)

@@ -490,6 +490,20 @@ class TestEuler:
                 et.euler_from_rotmat(R), Rotation.from_matrix(R).as_euler("xyz"), atol=1e-9
             )
 
+    def test_rebuilds_near_gimbal_lock(self, rng):
+        # Measured worst errors: 2.2e-16 outside the lock band and 2 cos(ry)
+        # inside it for matrices built from the angles, 4e-8 across the
+        # band's edge after a quaternion round trip.  The 1 - |R[2,0]| <= 1e-9
+        # test took the lock branch up to cos(ry) = 4.5e-5 and erred by 6e-5.
+        for d in [0.0, *10.0 ** rng.uniform(-17, -2, 400)]:
+            rx, rz = rng.uniform(-math.pi, math.pi, 2)
+            R = rotmat_from_euler(rx, rng.choice([-1.0, 1.0]) * (math.pi / 2 - d), rz)
+            cy = math.hypot(R[2, 1], R[2, 2])
+            err = np.abs(rotmat_from_euler(*et.euler_from_rotmat(R)) - R).max()
+            assert err <= 1e-15 + (2.5 * cy if cy <= se3.LOCK_TOL else 0.0), (d, err)
+            Rq = et.quat_to_rotmat(et.quat_normalize(et.rotmat_to_quat(R)))
+            assert np.abs(rotmat_from_euler(*et.euler_from_rotmat(Rq)) - Rq).max() <= 1e-7, d
+
     def test_gimbal_lock_sets_rz_zero(self):
         for ry in (math.pi / 2, -math.pi / 2):
             R = rotmat_from_euler(0.3, ry, 0.7)

@@ -158,6 +158,17 @@ class TestChainRebased:
         with pytest.raises(AlignmentError, match=f"rels: {have}, expected 4 poses from frame 4 at stride 4"):
             et.chain_rebased(gt, rels)
 
+    def test_empty_gt_refused(self):
+        empty = et.Trajectory(np.empty((0, 3, 3)), np.empty((0, 3)))
+        with pytest.raises(LengthMismatch, match="gt: need at least 1 pose, got 0"):
+            et.chain_rebased(empty, empty.relatives())
+
+    def test_single_pose_gt_gives_itself(self):
+        gt = et.synth_trajectory(2, seed=0)
+        one = et.Trajectory(gt.R[:1], gt.t[:1], gt.k, gt.unit)
+        est = et.chain_rebased(one, one.relatives())
+        assert np.array_equal(est.R, one.R) and np.array_equal(est.t, one.t)
+
     def test_mixed_units_refused(self):
         gt = et.synth_trajectory(5, seed=0, unit="cm")
         exact = gt.relatives()

@@ -10,8 +10,12 @@ every rotation's drift on its own and builds a checked ``Pose``;
 so a fault in ``se3.pose_compose`` cannot move both sides of a comparison.
 ``parse_lines`` reads a trajectory file's text one line at a time, checking
 each line in order; ``files.parse_trajectory`` reads it in blocks and must
-give the same arrays, labels and errors.
+give the same arrays, labels and errors.  ``read_lines`` decodes a whole
+file, then reads it as ``parse_lines`` does; ``files.read_trajectory``, which
+decodes a block at a time, must agree with it.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -115,3 +119,14 @@ def parse_lines(text: str) -> Trajectory:
     except ZeroQuaternion as e:
         raise ZeroQuaternion(f"line {line_nos[e.index[0]]}: {e}") from None
     return Trajectory(poses.R, poses.t, k, unit, frames[0])
+
+
+def read_lines(path) -> Trajectory:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The bytes before the first bad one decode; "x" stands for the line it starts.
+        raise TrajectoryParseError(len((data[:e.start].decode("utf-8") + "x").splitlines()),
+                                   f"byte {data[e.start]:#04x} is not UTF-8 text") from None
+    return parse_lines(text)
