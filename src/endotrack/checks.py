@@ -49,18 +49,18 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray, h: float =
     return grad
 
 
-def two_step_rel_err(f: Callable[[float], float], v: float, h: float, floor: float = 1e-8) -> float:
+def two_step_rel_err(f: Callable[[float], float], v: float, h: float) -> float:
     """Relative disagreement of central differences at steps h and h/10.
 
     A smooth objective gives O(h^2) truncation error, so the two estimates
-    agree to ~1% long before the 5% acceptance tolerance.  The floor keeps
-    near-zero gradients from dividing by zero.  Returns inf on NaN/Inf.
+    agree to ~1% long before the 5% acceptance tolerance.  A floor of 1e-8
+    keeps near-zero gradients from dividing by zero.  Returns inf on NaN/Inf.
     """
     g1 = central_diff(f, float(v), h)
     g2 = central_diff(f, float(v), h / 10.0)
     if not (np.isfinite(g1) and np.isfinite(g2)):
         return float("inf")
-    return abs(g1 - g2) / max(abs(g1), abs(g2), floor)
+    return abs(g1 - g2) / max(abs(g1), abs(g2), 1e-8)
 
 
 def _worst_leaf_errors(objective: Callable, params, leaves: dict, h: float, tol: float = 0.05):
@@ -77,14 +77,14 @@ def _worst_leaf_errors(objective: Callable, params, leaves: dict, h: float, tol:
     return entries
 
 
-def attention_grad_check(f0: np.ndarray, params: AttentionParams, h: float = 1e-4):
+def attention_grad_check(f0: np.ndarray, params: AttentionParams):
     """Step-size consistency of d sum(attention_forward(f0)) / d(alpha, beta, conv_w); f0 is (C, H, W)."""
     leaves = {"attention alpha": "alpha", "attention beta": "beta",
               **{f"attention conv branch {b}": f"conv_w.{b}" for b in range(len(params.conv_w))}}
-    return _worst_leaf_errors(lambda p: float(np.sum(attention_forward(f0, p))), params, leaves, h)
+    return _worst_leaf_errors(lambda p: float(np.sum(attention_forward(f0, p))), params, leaves, 1e-4)
 
 
-def decoder_grad_check(f: np.ndarray, params: DecoderParams, h: float = 1e-4):
+def decoder_grad_check(f: np.ndarray, params: DecoderParams):
     """Step-size consistency of d loss(decoder(f)) / d(gamma, head weights): the
     geometric pose loss against a fixed reference pose, so the gradients run
     through the whole forward path, quaternion normalization included."""
@@ -93,7 +93,7 @@ def decoder_grad_check(f: np.ndarray, params: DecoderParams, h: float = 1e-4):
     leaves = {f"decoder gamma block {i}": f"blocks.{i}.gamma" for i in range(len(params.blocks))}
     leaves["decoder head affine"] = "head_w"
     return _worst_leaf_errors(lambda p: geometric_loss(decoder_forward(f, p), target, LossWeights()),
-                              params, leaves, h)
+                              params, leaves, 1e-4)
 
 
 def run_gradient_checks(seed: int = 0, inject_nan: bool = False) -> list[GradCheckEntry]:
@@ -111,11 +111,11 @@ def run_gradient_checks(seed: int = 0, inject_nan: bool = False) -> list[GradChe
     return entries + [lambda_grad_entry(seed + 2)]
 
 
-def lambda_grad_entry(seed: int, cases: int = 20) -> GradCheckEntry:
-    """Analytic loss-weight gradients vs. central differences (tol 1e-6)."""
+def lambda_grad_entry(seed: int) -> GradCheckEntry:
+    """Analytic loss-weight gradients vs. central differences on 20 random cases (tol 1e-6)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(20):
         pred = PoseVec(rng.normal(size=3), quat_normalize(rng.normal(size=4)))
         target = PoseVec(rng.normal(size=3), quat_normalize(rng.normal(size=4)))
         lam = rng.uniform(-2.0, 2.0, size=2)

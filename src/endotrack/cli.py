@@ -4,12 +4,15 @@ Exit codes: 0 success, 2 file parse error (message names the line) or
 usage error, 3 invalid pose in an input file, 4 unit, stride, first-frame or
 frame-count mismatch between trajectories, 1 for a file that cannot be read
 or written and for other validation failures.  Every failure prints one
-line.  Run values come from flags alone; ``bench`` runs the default widths.
+line, and each error class declares its code and label (``errors``).
+``eval`` writes UTF-8, switching stdout to it, whatever the locale.  Run
+values come from flags alone; ``bench`` runs the default widths.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
 
@@ -17,18 +20,7 @@ import numpy as np
 
 from .checks import format_entries, run_gradient_checks
 from .decoder import decoder_forward, decoder_init
-from .errors import (
-    AlignmentError,
-    BadExtent,
-    EndotrackError,
-    InvalidQuaternion,
-    NotARotation,
-    TrajectoryParseError,
-    UnitMismatch,
-    ZeroQuaternion,
-    integer,
-    plain,
-)
+from .errors import BadExtent, EndotrackError, integer, plain
 from .files import UNITS, atomic_write_texts, read_trajectory, trajectory_chunks, write_trajectory
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
@@ -87,13 +79,25 @@ def cmd_track(args) -> int:
     return 0
 
 
+def _echoed(chunks):
+    """``chunks``, each written to stdout as it passes."""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+        yield chunk
+
+
 def cmd_eval(args) -> int:
     gt = read_trajectory(args.gt)
     est = read_trajectory(args.est)
-    report = evaluate(gt, est)
-    sys.stdout.writelines(report.chunks())
+    # The summary's "±" is not ASCII: stdout writes UTF-8, as --out does, whatever the locale.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
+    chunks = evaluate(gt, est).chunks()
     if args.out:
-        atomic_write_texts([(args.out, report.chunks())])
+        # Formatted once: stdout takes each chunk as the file does.
+        atomic_write_texts([(args.out, _echoed(chunks))])
+    else:
+        sys.stdout.writelines(chunks)
     return 0
 
 
@@ -208,16 +212,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TrajectoryParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ZeroQuaternion, NotARotation, InvalidQuaternion) as e:
-        print(f"error: invalid pose: {e}", file=sys.stderr)
-        return 3
-    except (UnitMismatch, AlignmentError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (EndotrackError, OSError) as e:
+    except EndotrackError as e:
+        print(f"error: {e.label}{e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

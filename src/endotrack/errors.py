@@ -1,15 +1,25 @@
 """Exception types shared across the package, and its three argument checks,
 each the one rule for its concern: ``integer`` for integer arguments (nothing
-is coerced), ``same_unit`` for length-unit tags and ``plain`` for numbers in text."""
+is coerced), ``same_unit`` for length-unit tags and ``plain`` for numbers in text.
+Each error class declares how ``cli.main`` reports it, inherited unless it sets
+its own: the stderr line ``error: {label}{message}`` and exit status ``exit_code``."""
 
 import numpy as np
 
 
 class EndotrackError(ValueError):
     """Base class for all validation errors raised by this package."""
+    exit_code = 1
+    label = ""
 
 
-class ZeroQuaternion(EndotrackError):
+class InvalidPose(EndotrackError):
+    """Base class for a pose that is not a rigid motion."""
+    exit_code = 3
+    label = "invalid pose: "
+
+
+class ZeroQuaternion(InvalidPose):
     """Quaternion norm too small to normalize; ``index`` locates it in a stack."""
 
     def __init__(self, message: str, index: tuple = ()):
@@ -17,11 +27,11 @@ class ZeroQuaternion(EndotrackError):
         self.index = index
 
 
-class InvalidQuaternion(EndotrackError):
+class InvalidQuaternion(InvalidPose):
     """Quaternion is not unit-norm where a unit quaternion is required."""
 
 
-class NotARotation(EndotrackError):
+class NotARotation(InvalidPose):
     """Matrix is not orthonormal with determinant +1 within tolerance."""
 
 
@@ -52,6 +62,7 @@ class NonFiniteFunction(EndotrackError):
 
 class UnitMismatch(EndotrackError):
     """Operands carry different length-unit tags."""
+    exit_code = 4
 
 
 def integer(v, name: str, least: int | None = None) -> int:
@@ -86,10 +97,12 @@ class LengthMismatch(EndotrackError):
 
 class AlignmentError(EndotrackError):
     """Trajectories are not frame-aligned (first frame, stride or count differ)."""
+    exit_code = 4
 
 
 class TrajectoryParseError(EndotrackError):
     """Malformed trajectory file; carries the offending line number."""
+    exit_code = 2
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

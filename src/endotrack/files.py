@@ -17,11 +17,12 @@ held whole.  ``trajectory_chunks`` checks every row, then yields the header
 and one string per block, and ``atomic_write_texts`` streams such chunks
 into place.  ``parse_trajectory`` (a text) and ``read_trajectory`` (a file,
 read and decoded a cut at a time) feed one reader with lists of lines:
-after the header it splits and converts each block of lines in bulk, checks
-the block as arrays and converts it to rotations straight into the result.
-Only a block that holds a comment, a blank line, text other than plain
-ASCII, an ``_`` or a row that fails a check goes through the per-line
-checks, which raise for its first faulty line and name it.
+after the header it splits, converts and checks each block of lines in bulk
+and converts it to rotations straight into the result.  Only a block that
+holds a comment, a blank line, text other than plain ASCII, an ``_`` or a
+row that fails a check goes through the per-line checks, which raise for
+its first faulty line and name it.  Both routes check one frame rule, on
+Python ints of any size: each frame follows the one before it by k.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def atomic_write_texts(items) -> None:
             tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append((tmp, path))
-            with os.fdopen(fd, "w") as f:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.writelines(chunks)
                 f.flush()
                 os.fsync(f.fileno())
@@ -277,19 +278,17 @@ def _bulk_rows(block: list[str], k: int, last: int | None) -> tuple[int, np.ndar
     cells = list(chain.from_iterable(fields))
     try:
         plain("".join(block))
-        # A frame beyond int64 raises OverflowError.
-        frames = np.array(list(map(int, cells[0::8])), dtype=np.int64)
+        frames = list(map(int, cells[0::8]))
         del cells[0::8]
         v = np.reshape(list(map(float, cells)), (-1, 7))
-    except (ValueError, OverflowError):
+    except ValueError:
         return None
-    first, end = int(frames[0]), int(frames[-1])
-    # int64 differences wrap; the exact span, in Python ints, rules that out.
-    if last is not None and first - last != k or end - first != (len(frames) - 1) * k:
+    # The frame rule of _checked_rows, on Python ints: each frame follows the one before by k.
+    first = frames[0] if last is None else last + k
+    in_bound = ((v <= POSE_BOUND) & (v >= -POSE_BOUND)).all()
+    if frames != list(range(first, first + len(frames) * k, k)) or not in_bound:
         return None
-    if not (np.diff(frames) == k).all() or not ((v <= POSE_BOUND) & (v >= -POSE_BOUND)).all():
-        return None
-    return end, v
+    return frames[-1], v
 
 
 def _checked_rows(block: list[str], line_no: int, k: int,

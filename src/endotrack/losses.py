@@ -65,17 +65,17 @@ def geometric_loss_lambda_grad(pred: PoseVec, target: PoseVec, w: LossWeights) -
     return _weighted_lambda_grad(*_errors_l1(pred, target), w)
 
 
-def descend_loss_weights(
-    t_err: float, r_err: float, steps: int = 50, lr: float = 0.1, start: LossWeights = LossWeights()
-) -> tuple[list[float], LossWeights]:
-    """Plain gradient descent on the two weights with the pose errors fixed.
+def descend_loss_weights(t_err: float, r_err: float, steps: int = 50,
+                         lr: float = 0.1) -> tuple[list[float], LossWeights]:
+    """Plain gradient descent on the two weights, from ``LossWeights()``, with
+    the pose errors fixed.
 
     Returns the loss at every iterate (steps+1 values) and the final
     weights.  The objective is convex in each weight, so moderate step
     sizes decrease it monotonically.
     """
     steps = integer(steps, "steps", 0)
-    w = start
+    w = LossWeights()
     history = [float(_weighted_loss(t_err, r_err, w))]
     for _ in range(steps):
         g_t, g_r = _weighted_lambda_grad(t_err, r_err, w)

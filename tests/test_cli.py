@@ -1,14 +1,21 @@
 """CLI behavior through cli.main(argv): exit codes, determinism, reports."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import endotrack as et
+from endotrack import cli
 from endotrack.cli import MAX_FRAME_PIXELS, MAX_POSES, build_parser, main
+from endotrack.errors import EndotrackError, TrajectoryParseError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -304,6 +311,38 @@ class TestEval:
         assert code == 0
         assert out_path.read_text().strip() == out.strip()
 
+    def test_report_formatted_once(self, tmp_path, capsys, monkeypatch):
+        gt, _ = synth_files(tmp_path, capsys)
+        calls, chunks = [], et.MetricReport.chunks
+
+        def counted(report):
+            calls.append(report)
+            return chunks(report)
+
+        monkeypatch.setattr(et.MetricReport, "chunks", counted)
+        out_path = tmp_path / "report.txt"
+        code, out, _ = run(capsys, "eval", str(gt), str(gt), "--out", str(out_path))
+        assert code == 0 and len(calls) == 1
+        assert out_path.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("env", [
+        {"PYTHONIOENCODING": "ascii"},
+        {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    ], ids=["ascii-stdout", "c-locale"])
+    def test_report_utf8_whatever_the_locale(self, tmp_path, env):
+        # The summary's "±" is not ASCII; stdout and --out both hold the golden UTF-8 bytes.
+        golden = Path(__file__).with_name("golden")
+        out_path = tmp_path / "report.txt"
+        keep = {k: v for k, v in os.environ.items()
+                if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LANG", "LC_CTYPE", "LC_ALL")}
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "endotrack", "eval", str(golden / "gt.txt"),
+             str(golden / "est-chained.txt"), "--out", str(out_path)],
+            capture_output=True, env={**keep, **env, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out_path.read_bytes() == (golden / "report-chained.txt").read_bytes()
+
 
 class TestGradcheck:
     def test_default_seed_passes(self, capsys):
@@ -416,7 +455,8 @@ class TestFileErrors:
         (("eval", "{missing}", "{ok}"), "{missing}"),
         (("track", "{ok}", "--base", "{missing}", "--out", "{d}/est.txt"), "{missing}"),
         (("track", "{rels}", "--base", "{ok}", "--out", "{d}/missing/est.txt"), "{d}/missing/est.txt"),
-    ], ids=["eval-input", "track-base", "out-dir"])
+        (("eval", "{ok}", "{ok}", "--out", "{d}/missing/r.txt"), "{d}/missing/r.txt"),
+    ], ids=["eval-input", "track-base", "out-dir", "eval-out-dir"])
     def test_exit_1(self, tmp_path, capsys, argv, named):
         ok = tmp_path / "ok.txt"
         ok.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n")
@@ -429,6 +469,40 @@ class TestFileErrors:
         assert f"'{named.format(**names)}'" in err
         # No temp file is left behind, and nothing else is written.
         assert sorted(tmp_path.iterdir()) == [ok, rels]
+
+
+def _error_classes(cls=EndotrackError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+class TestExitTable:
+    """Every error class declares its exit status and label, and main reports by them."""
+
+    @pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_main_exits_with_class_code(self, capsys, monkeypatch, cls):
+        assert cls.exit_code in {1, 2, 3, 4}
+        error = cls(7, "boom") if issubclass(cls, TrajectoryParseError) else cls("boom")
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+        code, out, err = run(capsys, "gradcheck")
+        assert code == cls.exit_code and out == ""
+        assert err == f"error: {cls.label}{error}\n"
+
+    def test_docs_name_every_code(self):
+        # 0 is success and 2 also a usage error, which argparse reports.
+        codes = {0, 2} | {cls.exit_code for cls in _error_classes()}
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        paragraph = re.search(r"\nExit codes:(.*?)\n\n", readme, re.S).group(1)
+        doc = cli.__doc__.split("Exit codes:")[1]
+        for code in codes:
+            assert f"`{code}`" in paragraph
+            assert re.search(rf"\b{code}\b", doc)
 
 
 class TestUsageErrors:
