@@ -5,8 +5,8 @@ usage error, 3 invalid pose in an input file, 4 unit, stride, first-frame or
 frame-count mismatch between trajectories, 1 for a file that cannot be read
 or written and for other validation failures.  Every failure prints one
 line, and each error class declares its code and label (``errors``).
-``eval`` writes UTF-8, switching stdout to it, whatever the locale.  Run
-values come from flags alone; ``bench`` runs the default widths.
+Every command writes UTF-8 whatever the locale, a path's bytes as given.
+Run values come from flags alone; ``bench`` runs the default widths.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def cmd_synth(args) -> int:
     gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
     spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
     rels = perturb_relatives(gt, spec)
-    # Both files or neither: a failed write leaves no partial output.  Both
-    # trajectories are checked here, before either file is opened.
+    # Both files or neither: a failed write leaves no partial output.  Units, lengths and
+    # translations are checked here, before either file is opened; rotations block by block.
     atomic_write_texts([(args.out_gt, trajectory_chunks(gt)), (args.out_rels, trajectory_chunks(rels))])
     print(f"wrote {args.out_gt} ({len(gt)} poses) and {args.out_rels} ({len(rels)} relatives)")
     return 0
@@ -89,9 +89,6 @@ def _echoed(chunks):
 def cmd_eval(args) -> int:
     gt = read_trajectory(args.gt)
     est = read_trajectory(args.est)
-    # The summary's "±" is not ASCII: stdout writes UTF-8, as --out does, whatever the locale.
-    if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(encoding="utf-8")
     chunks = evaluate(gt, est).chunks()
     if args.out:
         # Formatted once: stdout takes each chunk as the file does.
@@ -209,6 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Paths and eval's "±" go out as UTF-8, as files do; a path's undecodable bytes as given.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

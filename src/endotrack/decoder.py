@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tree
-from .errors import BadChannelCount, ShapeMismatch, integer
+from .errors import BadChannelCount, integer
 from .kernels import activation, affine, conv2d, conv_init, layernorm
 from .se3 import PoseVec, quat_normalize
 
@@ -78,8 +78,6 @@ def decoder_init(in_channels: int, channels: int, seed: int = 0) -> DecoderParam
 def dsc_block_forward(x: np.ndarray, block: DscBlockParams) -> np.ndarray:
     """x + gamma * pw2(relu(pw1(depthwise7x7(x)))); shape preserved."""
     x = np.asarray(x)
-    if x.ndim != 3 or x.shape[0] % 3 != 0:
-        raise ShapeMismatch(f"block input must be (C,H,W) with C divisible by 3, got {x.shape}")
     y = conv2d(x, block.dw_w, block.dw_b, pad=3, groups=3)
     y = activation(conv2d(y, block.pw1_w, block.pw1_b), "relu")
     y = conv2d(y, block.pw2_w, block.pw2_b)
@@ -93,11 +91,6 @@ def decoder_forward(f: np.ndarray, params: DecoderParams) -> PoseVec:
     a degenerate raw norm surfaces as ZeroQuaternion rather than being
     silently replaced.
     """
-    f = np.asarray(f)
-    if f.ndim != 3 or f.shape[0] != params.squeeze_w.shape[1]:
-        raise ShapeMismatch(
-            f"expected ({params.squeeze_w.shape[1]}, H, W) input, got {f.shape}"
-        )
     x = activation(conv2d(f, params.squeeze_w, params.squeeze_b), "relu")
     x = layernorm(x, params.ln_gamma, params.ln_beta)
     x = conv2d(x, params.down_w, params.down_b, stride=2)

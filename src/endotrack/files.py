@@ -13,16 +13,17 @@ frames (k, 2k, ...).  Every value is finite and at most ``POSE_BOUND`` in
 magnitude, on reading and on writing alike.
 
 Rows are written and read ``BLOCK_ROWS`` at a time, so no file's text is
-held whole.  ``trajectory_chunks`` checks every row, then yields the header
-and one string per block, and ``atomic_write_texts`` streams such chunks
-into place.  ``parse_trajectory`` (a text) and ``read_trajectory`` (a file,
-read and decoded a cut at a time) feed one reader with lists of lines:
-after the header it splits, converts and checks each block of lines in bulk
-and converts it to rotations straight into the result.  Only a block that
-holds a comment, a blank line, text other than plain ASCII, an ``_`` or a
-row that fails a check goes through the per-line checks, which raise for
-its first faulty line and name it.  Both routes check one frame rule, on
-Python ints of any size: each frame follows the one before it by k.
+held whole.  ``trajectory_chunks`` checks the unit, the row count and each
+translation, then yields the header and one string per block, converted
+when it is reached; ``atomic_write_texts`` streams such chunks into place.
+``parse_trajectory`` (a text) and ``read_trajectory`` (a file, read and
+decoded a cut at a time) feed one reader with lists of lines: after the
+header it splits, converts and checks each block of lines in bulk and
+converts it to rotations straight into the result.  Only a block that holds
+a comment, a blank line, text other than plain ASCII, an ``_`` or a row
+that fails a check goes through the per-line checks, which raise for its
+first faulty line and name it.  Both routes check one frame rule, on Python
+ints of any size: each frame follows the one before it by k.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def atomic_write_texts(items) -> None:
     and leaves every path as it was.  A directory target, whose rename would
     fail after earlier ones, and two items naming one file, the later of
     which would silently replace the earlier, are refused before anything is
-    written.  Errors name the path asked for.  Concurrent writers never
-    share a temp file."""
+    written.  Its own failures name the path asked for, a chunk iterable's
+    do not.  Concurrent writers never share a temp file."""
     targets, named = [], {}
     for given, chunks in items:
         path = Path(given)
@@ -81,14 +82,14 @@ def atomic_write_texts(items) -> None:
             raise EndotrackError(f"{named[entry]} and {given} name the same file; nothing was written")
         named[entry] = given
         targets.append((path, chunks))
-    tmps = []
+    tmps, theirs = [], []
     try:
         for path, chunks in targets:
             tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.writelines(chunks)
+                f.writelines(_noting_errors(chunks, theirs))
                 f.flush()
                 os.fsync(f.fileno())
         for tmp, path in tmps:
@@ -96,41 +97,46 @@ def atomic_write_texts(items) -> None:
     except BaseException as e:
         for tmp, _ in tmps:
             tmp.unlink(missing_ok=True)
-        if isinstance(e, OSError):
+        if isinstance(e, OSError) and e not in theirs:
             raise OSError(e.errno, e.strerror, str(path)) from None
+        raise
+
+
+def _noting_errors(chunks, noted: list):
+    try:
+        yield from chunks
+    except OSError as e:
+        noted.append(e)
         raise
 
 
 def trajectory_chunks(traj: Trajectory):
     """The file text of ``traj``: an iterator over the header line, then one
-    string per block of BLOCK_ROWS rows.  Every row is converted and checked
-    in this call, before any text is made: a row that the reader would
-    reject raises NotARotation naming its frame, and a trajectory without
-    rows or in a unit not in UNITS raises EndotrackError, so nothing is
-    written that cannot be read back."""
+    string per block of BLOCK_ROWS rows.  Before any text is made, a
+    trajectory without rows or in a unit not in UNITS raises EndotrackError
+    and a translation beyond POSE_BOUND raises NotARotation naming its frame.
+    A block's R is converted when the block is reached; one that is not a
+    rotation raises NotARotation there, and a rotation's quaternion is of
+    unit norm.  So nothing is written that cannot be read back."""
     if traj.unit not in UNITS or not len(traj):
         raise EndotrackError(f"a trajectory file holds at least one row in one of {UNITS}, "
                              f"got {len(traj)} rows in {traj.unit!r}; nothing was written")
-    rows = np.empty((len(traj), 7))
-    for r0 in range(0, len(traj), BLOCK_ROWS):
-        v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
-        # Scalar-first internally -> scalar-last on disk.
-        rows[r0:r0 + BLOCK_ROWS] = np.concatenate([v.t, v.q[:, 1:], v.q[:, :1]], axis=1)
     # Two comparisons, so NaN fails both and no float temporary is made.
-    beyond = ~((rows <= POSE_BOUND) & (rows >= -POSE_BOUND)).all(axis=1)
+    beyond = ~((traj.t <= POSE_BOUND) & (traj.t >= -POSE_BOUND)).all(axis=1)
     if beyond.any():
         raise _beyond_bound(f"frame {traj.start + int(beyond.argmax()) * traj.k}")
-    return _blocks(f"unit={traj.unit} k={traj.k}\n", traj.start, traj.k, rows)
+    return _blocks(traj)
 
 
-def _blocks(header: str, start: int, k: int, rows: np.ndarray):
-    yield header
-    for r0 in range(0, len(rows), BLOCK_ROWS):
-        columns = rows[r0:r0 + BLOCK_ROWS].T.tolist()
-        n = len(columns[0])
+def _blocks(traj: Trajectory):
+    yield f"unit={traj.unit} k={traj.k}\n"
+    for r0 in range(0, len(traj), BLOCK_ROWS):
+        v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
+        n = len(v.t)
         cells = [None] * (8 * n)
-        cells[0::8] = range(start + r0 * k, start + (r0 + n) * k, k)
-        for j, column in enumerate(columns, start=1):
+        cells[0::8] = range(traj.start + r0 * traj.k, traj.start + (r0 + n) * traj.k, traj.k)
+        # Scalar-first internally -> scalar-last on disk.
+        for j, column in enumerate(v.t.T.tolist() + np.roll(v.q, -1, axis=1).T.tolist(), start=1):
             cells[j::8] = column
         yield _ROW * n % tuple(cells)
 

@@ -1,5 +1,6 @@
 """CLI behavior through cli.main(argv): exit codes, determinism, reports."""
 
+import errno
 import os
 import re
 import shlex
@@ -104,7 +105,9 @@ class TestSynth:
 
     # Each value makes a pose beyond the bound the reader enforces.
     @pytest.mark.parametrize("argv", [("--smoothness", "1e200"), ("--sigma-t", "1e300")])
-    def test_unreadable_output_exit_3(self, tmp_path, capsys, argv):
+    def test_unreadable_output_exit_3(self, tmp_path, capsys, monkeypatch, argv):
+        # The pose beyond the bound is refused before any file is opened.
+        monkeypatch.setattr(cli, "atomic_write_texts", lambda items: pytest.fail("a file was opened"))
         code, out, err = run(capsys, "synth", "--n", "5", *argv, "--out-gt", str(tmp_path / "gt.txt"),
                              "--out-rels", str(tmp_path / "rels.txt"))
         assert code == 3 and out == ""
@@ -342,6 +345,38 @@ class TestEval:
             capture_output=True, env={**keep, **env, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == out_path.read_bytes() == (golden / "report-chained.txt").read_bytes()
+
+    def test_broken_stdout_is_not_blamed_on_the_report(self, tmp_path, capsys, monkeypatch):
+        ok = tmp_path / "ok.txt"
+        ok.write_text("unit=mm k=4\n0 0 0 0 0 0 0 1\n4 0 0 1 0 0 0 1\n")
+
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = main(["eval", str(ok), str(ok), "--out", str(tmp_path / "report.txt")])
+        assert code == 1 and capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        # Neither the report nor a temp file is left.
+        assert list(tmp_path.iterdir()) == [ok]
+
+
+class TestWroteLine:
+    @pytest.mark.parametrize("encoding, name", [("ascii", "\u00e9.txt"), ("utf-8", os.fsdecode(b"\xff.txt"))],
+                             ids=["ascii-stdout", "undecodable-path"])
+    def test_synth_and_track_print_the_path_as_given(self, tmp_path, encoding, name):
+        # Stdout writes UTF-8 whatever its encoding, and a path's bytes go out as they came in.
+        keep = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**keep, "PYTHONIOENCODING": encoding, "PYTHONPATH": os.pathsep.join(paths)}
+        gt, rels, est = tmp_path / name, tmp_path / "rels.txt", tmp_path / ("est-" + name)
+        for argv, out in [(["synth", "--n", "5", "--out-gt", gt, "--out-rels", rels], gt),
+                          (["track", rels, "--base", gt, "--out", est], est)]:
+            proc = subprocess.run([sys.executable, "-m", "endotrack", *map(str, argv)],
+                                  capture_output=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout.count(b"\n") == 1 and proc.stdout.endswith(b"\n")
+            assert os.fsencode(out) in proc.stdout
 
 
 class TestGradcheck:
