@@ -56,12 +56,15 @@ def cmd_synth(args) -> int:
         bias = np.array([float(v) for v in plain(args.bias_t).split(",")]) if args.bias_t else np.zeros(3)
     except ValueError:
         raise EndotrackError(f"--bias-t must look like 'x,y,z', got {args.bias_t!r}") from None
-    gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
-    spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
-    rels = perturb_relatives(gt, spec)
-    # Both files or neither: a failed write leaves no partial output.  Units, lengths and
-    # translations are checked here, before either file is opened; rotations block by block.
-    atomic_write_texts([(args.out_gt, trajectory_chunks(gt)), (args.out_rels, trajectory_chunks(rels))])
+    # Huge flags overflow to inf or NaN, which the writer refuses in one line;
+    # numpy's warnings on the way there would add more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gt = synth_trajectory(args.n, smoothness=args.smoothness, seed=seed, unit=args.unit, k=args.k)
+        spec = NoiseSpec(sigma_t=args.sigma_t, sigma_r=args.sigma_r, bias_t=bias, seed=seed + 1)
+        rels = perturb_relatives(gt, spec)
+        # Both files or neither: a failed write leaves no partial output.  Units, lengths and
+        # translations are checked here, before either file is opened; rotations block by block.
+        atomic_write_texts([(args.out_gt, trajectory_chunks(gt)), (args.out_rels, trajectory_chunks(rels))])
     print(f"wrote {args.out_gt} ({len(gt)} poses) and {args.out_rels} ({len(rels)} relatives)")
     return 0
 

@@ -1,9 +1,9 @@
 """Absolute-pose chaining, ground-truth rebasing, and synthetic trajectories.
 
-Chained mode accumulates each estimated relative pose onto the previous
-estimate, so per-step errors compound into drift.  Rebased mode composes
-each estimate onto the ground-truth previous pose instead, isolating the
-per-step relative error.
+Chained mode and synthesis run the one pose recurrence P_i = P_{i-1} * rel_i
+(``_prefix``), so chained per-step errors compound into drift.  Rebased mode
+composes each estimate onto the ground-truth previous pose instead, isolating
+the per-step relative error.
 """
 
 from __future__ import annotations
@@ -113,8 +113,22 @@ def check_frames(traj: Trajectory, name: str, start: int, k: int, n: int | None 
                              f"expected {want}from frame {start} at stride {k}")
 
 
+def _prefix(p0: Pose, rel_R: np.ndarray, rel_t: np.ndarray, renorm_every: int = 0) -> tuple:
+    """R (n+1, 3, 3) and t (n+1, 3): row 0 is p0, row i is pose_compose(row i-1, rel row i),
+    re-orthonormalized when ``renorm_every and i % renorm_every == 0``; one unit, p0's."""
+    R, t = np.empty((len(rel_R) + 1, 3, 3)), np.empty((len(rel_R) + 1, 3))
+    R[0], t[0] = p0.R, p0.t
+    cur = p0
+    for i, (Ri, ti) in enumerate(zip(rel_R, rel_t), start=1):
+        cur = pose_compose(cur, _pose(Ri, ti, p0.unit))
+        if renorm_every and i % renorm_every == 0:
+            cur = _pose(orthonormalize(cur.R), cur.t, cur.unit)
+        R[i], t[i] = cur.R, cur.t
+    return R, t
+
+
 def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajectory:
-    """Accumulate relative poses from the initial pose: P_i = P_{i-1} * rel_i.
+    """Accumulate relative poses from the initial pose by ``_prefix``: P_i = P_{i-1} * rel_i.
 
     p0 is frame ``rels.start - rels.k``, one stride before rels, and the rows
     follow at stride ``k``, by default rels.k.  Rotations are re-orthonormalized
@@ -125,14 +139,7 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajecto
     if p0.R.shape != (3, 3):
         raise ShapeMismatch(f"p0 must be a single pose, got R {p0.R.shape}")
     same_unit(p0, rels, "p0", "rels")
-    R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
-    R[0], t[0] = p0.R, p0.t
-    cur = p0
-    for i, (rel_R, rel_t) in enumerate(zip(rels.R, rels.t), start=1):
-        cur = pose_compose(cur, _pose(rel_R, rel_t, rels.unit))
-        if i % RENORM_EVERY == 0:
-            cur = _pose(orthonormalize(cur.R), cur.t, cur.unit)
-        R[i], t[i] = cur.R, cur.t
+    R, t = _prefix(p0, rels.R, rels.t, RENORM_EVERY)
     return Trajectory(R, t, rels.k if k is None else k, p0.unit, rels.start - rels.k)
 
 
@@ -198,12 +205,7 @@ def synth_trajectory(n: int, smoothness: float = 1.0, seed: int = 0,
     # is 0.0 + 0.03 * z: 0.03 * z up to the sign of a zero, which abs drops.
     step_t = (smoothness * (0.25 + 0.75 * u))[:, None] * direction
     step_R = rotmat_from_axis_angle(axis, np.abs(0.03 * z[1:, 6]))
-    cur = identity_pose(unit)
-    R, t = np.empty((n, 3, 3)), np.empty((n, 3))
-    R[0], t[0] = cur.R, cur.t
-    for i, (step_Ri, step_ti) in enumerate(zip(step_R, step_t), start=1):
-        cur = pose_compose(cur, _pose(step_Ri, step_ti, unit))
-        R[i], t[i] = cur.R, cur.t
+    R, t = _prefix(identity_pose(unit), step_R, step_t)
     return Trajectory(R, t, k, unit)
 
 

@@ -114,6 +114,18 @@ class TestSynth:
         assert err.count("\n") == 1 and "frame 4" in err
         assert not list(tmp_path.iterdir())
 
+    # Each overflows to inf or NaN on the way to a pose the writer refuses;
+    # numpy's warnings (here raised) must not add lines or escape main.
+    @pytest.mark.parametrize("argv", [("--smoothness", "1e308"), ("--sigma-t", "1e308"),
+                                      ("--sigma-r", "1e308")])
+    def test_overflow_exit_3_in_one_line(self, tmp_path, capsys, argv):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code, out, err = run(capsys, "synth", "--n", "50", *argv, "--out-gt", str(tmp_path / "gt.txt"),
+                                 "--out-rels", str(tmp_path / "rels.txt"))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: invalid pose: ")
+        assert not list(tmp_path.iterdir())
+
     def test_minimal_n(self, tmp_path, capsys):
         gt, rels = synth_files(tmp_path, capsys, n=2)
         assert len(et.read_trajectory(gt)) == 2

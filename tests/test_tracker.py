@@ -290,6 +290,16 @@ class TestRenormalization:
         )
         assert worst < 1e-9
 
+    def test_cadence_in_chain_only(self, monkeypatch):
+        # tracker's own orthonormalize is the RENORM_EVERY cadence; pose_compose
+        # repairs drift through se3's.  Synth runs the recurrence without it.
+        calls = []
+        monkeypatch.setattr(tracker, "orthonormalize", lambda R: calls.append(1) or se3.orthonormalize(R))
+        gt = et.synth_trajectory(2 * tracker.RENORM_EVERY + 1)
+        assert len(calls) == 0
+        et.chain_absolute(gt.poses[0], gt.relatives(), k=gt.k)
+        assert len(calls) == 2
+
 
 def assert_same_bits(got, want):
     assert np.array_equal(got.R, want.R) and np.array_equal(got.t, want.t)
