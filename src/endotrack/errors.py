@@ -14,17 +14,18 @@ class EndotrackError(ValueError):
 
 
 class InvalidPose(EndotrackError):
-    """Base class for a pose that is not a rigid motion."""
+    """Base class for a pose that is not a rigid motion; ``index`` locates the
+    first faulty one in a stack, and is ``()`` where none is located."""
     exit_code = 3
     label = "invalid pose: "
-
-
-class ZeroQuaternion(InvalidPose):
-    """Quaternion norm too small to normalize; ``index`` locates it in a stack."""
 
     def __init__(self, message: str, index: tuple = ()):
         super().__init__(message)
         self.index = index
+
+
+class ZeroQuaternion(InvalidPose):
+    """Quaternion norm too small to normalize."""
 
 
 class InvalidQuaternion(InvalidPose):

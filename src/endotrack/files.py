@@ -116,8 +116,8 @@ def trajectory_chunks(traj: Trajectory):
     trajectory without rows or in a unit not in UNITS raises EndotrackError
     and a translation beyond POSE_BOUND raises NotARotation naming its frame.
     A block's R is converted when the block is reached; one that is not a
-    rotation raises NotARotation there, and a rotation's quaternion is of
-    unit norm.  So nothing is written that cannot be read back."""
+    rotation raises NotARotation there naming its frame, and a rotation's
+    quaternion is of unit norm.  So nothing is written that cannot be read back."""
     if traj.unit not in UNITS or not len(traj):
         raise EndotrackError(f"a trajectory file holds at least one row in one of {UNITS}, "
                              f"got {len(traj)} rows in {traj.unit!r}; nothing was written")
@@ -131,7 +131,10 @@ def trajectory_chunks(traj: Trajectory):
 def _blocks(traj: Trajectory):
     yield f"unit={traj.unit} k={traj.k}\n"
     for r0 in range(0, len(traj), BLOCK_ROWS):
-        v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
+        try:
+            v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
+        except NotARotation as e:
+            raise NotARotation(f"frame {traj.start + (r0 + e.index[0]) * traj.k}: {e}") from None
         n = len(v.t)
         cells = [None] * (8 * n)
         cells[0::8] = range(traj.start + r0 * traj.k, traj.start + (r0 + n) * traj.k, traj.k)

@@ -118,19 +118,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
 
 def standardize(x: np.ndarray, axis) -> np.ndarray:
     """Zero mean, unit variance over ``axis``: (x - mean) / sqrt(var + EPS)."""
+    # An integer x comes out float64, the dtype of its mean.
     x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
-    # numpy's own mean and var steps (sum, then divide by the intp count in
-    # place), with the mean taken once and its deviations kept for the output.
-    mu = np.add.reduce(x, axis=axis, keepdims=True)
-    n = np.intp(x.size // max(mu.size, 1))
-    np.true_divide(mu, n, out=mu, casting="unsafe")
-    d = x - mu
-    var = np.add.reduce(np.square(d), axis=axis, keepdims=True)
-    np.true_divide(var, n, out=var, casting="unsafe")
-    var += EPS
-    d /= np.sqrt(var, out=var)
+    d = x - x.mean(axis, keepdims=True)
+    d /= np.sqrt(np.square(d).mean(axis, keepdims=True) + EPS)
     return d
 
 
@@ -171,14 +162,10 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
 
 def concat_channels(xs) -> np.ndarray:
     """Concatenate along axis 0; all other extents must match."""
-    xs = [np.asarray(x) for x in xs]
-    if not xs:
-        raise ShapeMismatch("need at least one tensor to concatenate")
-    rest = xs[0].shape[1:]
-    for x in xs[1:]:
-        if x.ndim != xs[0].ndim or x.shape[1:] != rest:
-            raise ShapeMismatch(f"non-channel extents differ: {x.shape[1:]} vs {rest}")
-    return np.concatenate(xs, axis=0)
+    try:
+        return np.concatenate(xs, axis=0)
+    except ValueError as e:
+        raise ShapeMismatch(str(e)) from None
 
 
 def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Two scene features (one per frame) and a motion feature (from the optical
 flow, zero-padded to 3 channels) come from a shared 2-stage strided conv
-stack with seeded random weights.  The joint feature comes from the stacked
-frame pair through stem conv + attention, twice.  The four (C, H, W) maps are
+stack, the joint feature from the stacked frame pair through stem conv +
+attention, twice.  Both stacks are 8 then 8 channels wide, with weights from
+``default_rng(0)``; only the frame size is configurable.  The four maps are
 concatenated in the order (current scene, previous scene, motion, joint),
-and the fused map is standardized once per channel (``kernels.standardize``).
+and the fused 32-channel map is standardized once per channel.
 
 The extractors are randomly initialized stand-ins, not trained networks;
 the pipeline's guarantees are structural (shapes, fusion order, the
@@ -24,13 +25,15 @@ from .errors import BadExtent, ShapeMismatch, integer
 from .kernels import activation, concat_channels, conv2d, conv_init, standardize
 
 
+# Output channels of the two stem convs on the scene/motion path and on the joint path.
+SCENE_CHANNELS = (8, 8)
+JOINT_CHANNELS = (8, 8)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     height: int = 64
     width: int = 64
-    scene_channels: tuple = (8, 8)
-    joint_channels: tuple = (8, 8)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("height", "width"):
@@ -39,15 +42,10 @@ class PipelineConfig:
                 raise BadExtent(f"{name} must be >= 5 (after two stride-2 stems the decoder's 2x2 "
                                 f"stride-2 downsample needs 2 pixels), got {v}")
             object.__setattr__(self, name, v)
-        for name in ("scene_channels", "joint_channels"):
-            pair = tuple(integer(c, name) for c in getattr(self, name))
-            if len(pair) != 2 or min(pair) < 1:
-                raise BadExtent(f"{name} must be two positive extents, got {pair}")
-            object.__setattr__(self, name, pair)
 
     @property
     def fused_channels(self) -> int:
-        return 3 * self.scene_channels[1] + self.joint_channels[1]
+        return 3 * SCENE_CHANNELS[1] + JOINT_CHANNELS[1]
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,9 @@ class PipelineParams:
 
 
 def init_pipeline(config: PipelineConfig) -> PipelineParams:
-    rng = np.random.default_rng(config.seed)
-    s1, s2 = config.scene_channels
-    j1, j2 = config.joint_channels
+    rng = np.random.default_rng(0)
+    s1, s2 = SCENE_CHANNELS
+    j1, j2 = JOINT_CHANNELS
     scene1_w, scene1_b = conv_init(rng, s1, 3, 3, 3)
     scene2_w, scene2_b = conv_init(rng, s2, s1, 3, 3)
     joint1_w, joint1_b = conv_init(rng, j1, 6, 3, 3)

@@ -212,15 +212,19 @@ def _ortho_defect(R: np.ndarray) -> np.ndarray:
 
 
 def check_rotation(R, tol: float = 1e-6) -> None:
-    """Raise NotARotation unless R'R = I and det(R) = 1 within tol, for every R."""
+    """Raise NotARotation unless R'R = I and det(R) = 1 within tol, for every R.
+    Its ``index`` locates the first R failing R'R or, if none does, det(R)."""
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise NotARotation(f"expected 3x3 matrix, got {R.shape}")
-    defect = np.max(_ortho_defect(R), initial=0.0)
-    if not np.isfinite(defect) or defect > tol:
-        raise NotARotation(f"R'R deviates from identity by {defect}")
-    if np.any(np.abs(np.linalg.det(R) - 1.0) > max(tol, 1e-9)):
-        raise NotARotation("determinant differs from +1")
+    defect = _ortho_defect(R)
+    bad = np.argwhere(~(defect <= tol))  # NaN fails too
+    if len(bad):
+        index = tuple(bad[0].tolist())
+        raise NotARotation(f"R'R deviates from identity by {defect[index]}", index)
+    bad = np.argwhere(np.abs(np.linalg.det(R) - 1.0) > max(tol, 1e-9))
+    if len(bad):
+        raise NotARotation("determinant differs from +1", tuple(bad[0].tolist()))
 
 
 def orthonormalize(R) -> np.ndarray:

@@ -123,7 +123,7 @@ class TestSynth:
             code, out, err = run(capsys, "synth", "--n", "50", *argv, "--out-gt", str(tmp_path / "gt.txt"),
                                  "--out-rels", str(tmp_path / "rels.txt"))
         assert code == 3 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: invalid pose: ")
+        assert err.count("\n") == 1 and re.match(r"error: invalid pose: frame \d+: ", err)
         assert not list(tmp_path.iterdir())
 
     def test_minimal_n(self, tmp_path, capsys):

@@ -28,8 +28,6 @@ CALLS = {
     "n": (lambda v: et.synth_trajectory(v), 5),
     "height": (lambda v: et.PipelineConfig(height=v), 16),
     "width": (lambda v: et.PipelineConfig(width=v), 16),
-    "scene_channels": (lambda v: et.PipelineConfig(scene_channels=(v, 8)), 4),
-    "joint_channels": (lambda v: et.PipelineConfig(joint_channels=(8, v)), 4),
     "in_channels": (lambda v: et.decoder_init(v, 6), 7),
     "channels": (lambda v: et.decoder_init(6, v), 9),
     "multiple": (lambda v: et.pad_to_multiple(FLOW, v), 32),
@@ -72,9 +70,6 @@ def test_below_lower_bound_refused(name):
 
 
 def test_cases_that_used_to_pass_silently():
-    for value in (8.7, "8", True):
-        with pytest.raises(ShapeMismatch, match="^scene_channels must be an integer"):
-            et.PipelineConfig(scene_channels=(value, 8))
     with pytest.raises(ShapeMismatch, match="^multiple must be an integer"):
         et.pad_to_multiple(FLOW, 2.5)
     with pytest.raises(ShapeMismatch, match="^steps must be an integer >= 0"):

@@ -8,13 +8,12 @@ from endotrack.kernels import activation, conv2d, standardize
 
 @pytest.fixture(scope="module")
 def params():
-    return et.init_pipeline(et.PipelineConfig(height=32, width=32, seed=0))
+    return et.init_pipeline(et.PipelineConfig(height=32, width=32))
 
 
 class TestConfig:
     def test_fused_channels(self):
-        cfg = et.PipelineConfig(scene_channels=(4, 6), joint_channels=(4, 10))
-        assert cfg.fused_channels == 3 * 6 + 10
+        assert et.PipelineConfig().fused_channels == 32
 
     def test_validation(self):
         with pytest.raises(BadExtent):
@@ -23,8 +22,6 @@ class TestConfig:
             et.PipelineConfig(height=4)
         with pytest.raises(BadExtent, match="width"):
             et.PipelineConfig(width=4)
-        with pytest.raises(BadExtent):
-            et.PipelineConfig(scene_channels=(0, 4))
 
 
 class TestScene:
@@ -38,7 +35,7 @@ class TestScene:
 
     def test_output_shape(self, params):
         out = et.extract_scene(np.zeros((3, 32, 32)), params)
-        assert out.shape == (params.config.scene_channels[1], 8, 8)
+        assert out.shape == (8, 8, 8)
 
     def test_wrong_shape(self, params):
         with pytest.raises(ShapeMismatch):
@@ -60,7 +57,7 @@ class TestJoint:
     def test_shape_and_determinism(self, params, rng):
         pair = rng.standard_normal((6, 32, 32))
         out = et.extract_joint(pair, params)
-        assert out.shape == (params.config.joint_channels[1], 8, 8)
+        assert out.shape == (8, 8, 8)
         assert np.array_equal(out, et.extract_joint(pair, params))
         assert np.all(np.isfinite(out))
 
@@ -126,7 +123,7 @@ class TestEndToEnd:
         assert np.array_equal(fused, et.pipeline_forward(prev, cur, flow, params))
 
     def test_seed_reproducibility(self, rng):
-        cfg = et.PipelineConfig(height=32, width=32, seed=99)
+        cfg = et.PipelineConfig(height=32, width=32)
         a, b = et.init_pipeline(cfg), et.init_pipeline(cfg)
         assert np.array_equal(a.scene1_w, b.scene1_w)
         assert a.att1.alpha == b.att1.alpha

@@ -632,8 +632,13 @@ class TestBroadcasting:
         R = random_rotations(rng, 5)
         et.check_rotation(R)
         R[3] = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(NotARotation):
+        with pytest.raises(NotARotation) as info:
             et.check_rotation(R)
+        assert info.value.index == (3,)
+        R[4, 0, 0] = np.nan
+        with pytest.raises(NotARotation, match="by nan") as info:
+            et.check_rotation(R)
+        assert info.value.index == (4,)
         et.check_rotation(np.zeros((0, 3, 3)))
 
     def test_mismatched_leading_axes(self):
