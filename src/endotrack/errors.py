@@ -53,8 +53,7 @@ class BadExtent(EndotrackError):
 
 
 class BadPenalty(EndotrackError):
-    """Robust-loss penalty out of range: exponent q outside (0, 1), or eps or a
-    level weight theta not finite or negative (eps must also be nonzero)."""
+    """Robust-loss level weight theta not finite or negative."""
 
 
 class NonFiniteFunction(EndotrackError):

@@ -40,16 +40,12 @@ import numpy as np
 from .errors import (ArchiveMismatch, EndotrackError, NotARotation, TrajectoryParseError,
                      ZeroQuaternion, plain)
 from .se3 import Pose, PoseVec, pose_from_vec, pose_to_vec
-from .tracker import Trajectory
+from .tracker import BLOCK_ROWS, Trajectory
 from .tree import flatten, map_leaves
 
 UNITS = ("mm", "cm")
 # Squared norms of sums of values this size stay finite.
 POSE_BOUND = 1e150
-# Rows per formatted, parsed or evaluated block.  Larger blocks raised the
-# traj-10k benchmark's peak RSS (4096 rows: 60.4 MB against 55.5 MB); measure
-# before raising it.
-BLOCK_ROWS = 1024
 # Bytes of text or file cut at a time for the reader, about BLOCK_ROWS rows.
 _BLOCK_BYTES = BLOCK_ROWS * 128
 # One file row; %r is repr, the shortest string that reads back as the same float.
@@ -116,8 +112,9 @@ def trajectory_chunks(traj: Trajectory):
     trajectory without rows or in a unit not in UNITS raises EndotrackError
     and a translation beyond POSE_BOUND raises NotARotation naming its frame.
     A block's R is converted when the block is reached; one that is not a
-    rotation raises NotARotation there naming its frame, and a rotation's
-    quaternion is of unit norm.  So nothing is written that cannot be read back."""
+    rotation within se3.ROTATION_TOL raises NotARotation there naming its
+    frame, and a rotation's quaternion is of unit norm.  So nothing is
+    written that cannot be read back."""
     if traj.unit not in UNITS or not len(traj):
         raise EndotrackError(f"a trajectory file holds at least one row in one of {UNITS}, "
                              f"got {len(traj)} rows in {traj.unit!r}; nothing was written")

@@ -1,6 +1,7 @@
 """Training losses: homoscedastic-weighted geometric pose loss with analytic
 weight gradients, and the multi-scale robust optical-flow loss with its
-pyramid constructor.
+pyramid constructor.  The flow loss is PWC-Net's (Sun et al., CVPR 2018),
+with its fixed noise eps = FLOW_EPS and exponent q = FLOW_Q.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from .errors import BadExtent, BadPenalty, InvalidQuaternion, ShapeMismatch, int
 from .se3 import PoseVec, quat_log
 
 PYRAMID_LEVELS = (2, 3, 4, 5, 6)
-FLOW_EPS_DEFAULT = 0.01
-FLOW_Q_DEFAULT = 0.4
+# flow_pyramid's extents must divide by this: the coarsest level halves them l - 1 times.
+PYRAMID_MULTIPLE = 2 ** (PYRAMID_LEVELS[-1] - 1)
+FLOW_EPS = 0.01
+FLOW_Q = 0.4
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,6 @@ class FlowPyramid:
     """2-channel flow fields at levels 2..6; level l is (H/2^(l-1), W/2^(l-1), 2)."""
 
     levels: tuple
-    height: int
-    width: int
 
     def level(self, l: int) -> np.ndarray:
         if l not in PYRAMID_LEVELS:
@@ -98,13 +99,12 @@ class FlowPyramid:
         return self.levels[l - 2]
 
 
-def pad_to_multiple(flow: np.ndarray, multiple: int = 32) -> np.ndarray:
-    """Zero-pad bottom/right so both spatial extents divide ``multiple``."""
-    multiple = integer(multiple, "multiple", 1)
+def pad_to_multiple(flow: np.ndarray) -> np.ndarray:
+    """Zero-pad bottom/right so both spatial extents divide PYRAMID_MULTIPLE."""
     flow = np.asarray(flow)
     h, w = flow.shape[:2]
-    ph = (-h) % multiple
-    pw = (-w) % multiple
+    ph = (-h) % PYRAMID_MULTIPLE
+    pw = (-w) % PYRAMID_MULTIPLE
     if ph == 0 and pw == 0:
         return flow
     return np.pad(flow, ((0, ph), (0, pw), (0, 0)))
@@ -119,34 +119,30 @@ def _halve(flow: np.ndarray) -> np.ndarray:
 def flow_pyramid(flow: np.ndarray) -> FlowPyramid:
     """Build levels 2..6 by repeated 2x2 mean pooling with flow halving.
 
-    Raises BadExtent unless both extents are positive multiples of 32
-    (use pad_to_multiple first).
+    Raises BadExtent unless both extents are positive multiples of
+    PYRAMID_MULTIPLE (use pad_to_multiple first).
     """
     flow = np.asarray(flow, dtype=float)
     if flow.ndim != 3 or flow.shape[2] != 2:
         raise ShapeMismatch(f"expected (H, W, 2) flow, got {flow.shape}")
     h, w = flow.shape[:2]
-    if h < 32 or w < 32 or h % 32 or w % 32:
-        raise BadExtent(f"extents {h}x{w} must be positive multiples of 32")
+    if not (h and w) or h % PYRAMID_MULTIPLE or w % PYRAMID_MULTIPLE:
+        raise BadExtent(f"extents {h}x{w} must be positive multiples of {PYRAMID_MULTIPLE}")
     levels = []
     cur = flow
     for _ in PYRAMID_LEVELS:
         cur = _halve(cur)
         levels.append(cur)
-    return FlowPyramid(tuple(levels), h, w)
+    return FlowPyramid(tuple(levels))
 
 
-def flow_robust_loss(pred: FlowPyramid, gt: FlowPyramid, theta=None,
-                     eps: float = FLOW_EPS_DEFAULT, q: float = FLOW_Q_DEFAULT) -> float:
-    """Sum over levels of theta_l * sum over pixels of (|du|+|dv| + eps)^q.
+def flow_robust_loss(pred: FlowPyramid, gt: FlowPyramid, theta=None) -> float:
+    """Sum over levels of theta_l * sum over pixels of (|du|+|dv| + FLOW_EPS)^FLOW_Q.
 
-    The sub-unit exponent q tempers large-magnitude outliers; eps keeps the
-    power well-defined at zero error.
+    The sub-unit exponent tempers large-magnitude outliers; the noise
+    constant keeps the power well-defined at zero error.  theta defaults to
+    all ones; BadPenalty refuses a weight that is not finite and non-negative.
     """
-    if not 0.0 < q < 1.0:
-        raise BadPenalty(f"penalty exponent q={q} must lie in (0, 1)")
-    if not 0.0 < eps < np.inf:
-        raise BadPenalty(f"noise constant eps={eps} must be finite and positive")
     if theta is None:
         theta = np.ones(len(PYRAMID_LEVELS))
     theta = np.asarray(theta, dtype=float)
@@ -161,5 +157,5 @@ def flow_robust_loss(pred: FlowPyramid, gt: FlowPyramid, theta=None,
         if p.shape != g.shape:
             raise ShapeMismatch(f"level {l}: {p.shape} vs {g.shape}")
         d = np.abs(p - g).sum(axis=-1)
-        total += theta[i] * float(np.sum((d + eps) ** q))
+        total += theta[i] * float(np.sum((d + FLOW_EPS) ** FLOW_Q))
     return total

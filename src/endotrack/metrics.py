@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, same_unit
-from .files import BLOCK_ROWS
 from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, relative_pose, vec_norm
-from .tracker import Trajectory, check_frames
+from .tracker import BLOCK_ROWS, Trajectory, check_frames
 
 
 def ate(gt: Pose, est: Pose) -> np.ndarray:

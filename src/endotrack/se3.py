@@ -33,6 +33,8 @@ from .errors import NotARotation, ShapeMismatch, ZeroQuaternion, same_unit
 LOG_EPS = 1e-8
 # Orthonormality defect that triggers re-orthonormalization after composing.
 ORTHO_TOL = 1e-9
+# Largest |R'R - I| entry and |det(R) - 1| that check_rotation accepts.
+ROTATION_TOL = 1e-6
 # |cos ry| at or below which euler_from_rotmat takes its gimbal-lock branch.
 # Rebuilding R from the angles errs by about 2 |cos ry| in that branch and by
 # about 6e-16 / |cos ry| outside it, for entries off by rounding; the two meet
@@ -148,10 +150,10 @@ def rotmat_to_quat(R) -> np.ndarray:
     """Rotation matrix to canonical unit quaternion.
 
     Uses the largest of trace/diagonal branches so the divisor stays well
-    away from zero for every input rotation.
+    away from zero.  check_rotation refuses R beyond ROTATION_TOL first.
     """
     R = np.asarray(R, dtype=float)
-    check_rotation(R, tol=1e-6)
+    check_rotation(R)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.swapaxes(R, -1, -2).T
     tr = r00 + r11 + r22
     u, v, w, a, b, c = r21 - r12, r02 - r20, r10 - r01, r01 + r10, r02 + r20, r12 + r21
@@ -211,18 +213,18 @@ def _ortho_defect(R: np.ndarray) -> np.ndarray:
     return _ortho_residual(R).max(axis=(-2, -1))
 
 
-def check_rotation(R, tol: float = 1e-6) -> None:
-    """Raise NotARotation unless R'R = I and det(R) = 1 within tol, for every R.
+def check_rotation(R) -> None:
+    """Raise NotARotation unless R'R = I and det(R) = 1 within ROTATION_TOL, for every R.
     Its ``index`` locates the first R failing R'R or, if none does, det(R)."""
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise NotARotation(f"expected 3x3 matrix, got {R.shape}")
     defect = _ortho_defect(R)
-    bad = np.argwhere(~(defect <= tol))  # NaN fails too
+    bad = np.argwhere(~(defect <= ROTATION_TOL))  # NaN fails too
     if len(bad):
         index = tuple(bad[0].tolist())
         raise NotARotation(f"R'R deviates from identity by {defect[index]}", index)
-    bad = np.argwhere(np.abs(np.linalg.det(R) - 1.0) > max(tol, 1e-9))
+    bad = np.argwhere(np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOL)
     if len(bad):
         raise NotARotation("determinant differs from +1", tuple(bad[0].tolist()))
 

@@ -22,6 +22,10 @@ from .se3 import (Pose, _pose, identity_pose, orthonormalize, pose_compose, rela
 # Unconditional re-orthonormalization cadence for long chains.
 RENORM_EVERY = 64
 DEFAULT_STRIDE = 4
+# Rows per formatted, parsed or evaluated block.  Larger blocks raised the
+# traj-10k benchmark's peak RSS (4096 rows: 60.4 MB against 55.5 MB); measure
+# before raising it.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ def _prefix(p0: Pose, rel_R: np.ndarray, rel_t: np.ndarray, renorm_every: int = 
 def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajectory:
     """Accumulate relative poses from the initial pose by ``_prefix``: P_i = P_{i-1} * rel_i.
 
-    p0 is frame ``rels.start - rels.k``, one stride before rels, and the rows
-    follow at stride ``k``, by default rels.k.  Rotations are re-orthonormalized
+    p0 is frame ``rels.start - rels.k`` and the rows follow at rels.k; a ``k``
+    other than rels.k raises AlignmentError.  Rotations are re-orthonormalized
     every RENORM_EVERY steps (plus the tolerance-triggered fix inside
     pose_compose) so thousand-step chains stay valid.  Raises ShapeMismatch
     unless p0 is a single pose and UnitMismatch unless p0 and rels share a unit.
@@ -139,8 +143,10 @@ def chain_absolute(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajecto
     if p0.R.shape != (3, 3):
         raise ShapeMismatch(f"p0 must be a single pose, got R {p0.R.shape}")
     same_unit(p0, rels, "p0", "rels")
+    if k is not None:
+        check_frames(rels, "rels", rels.start, integer(k, "stride k", 1))
     R, t = _prefix(p0, rels.R, rels.t, RENORM_EVERY)
-    return Trajectory(R, t, rels.k if k is None else k, p0.unit, rels.start - rels.k)
+    return Trajectory(R, t, rels.k, p0.unit, rels.start - rels.k)
 
 
 def chain_rebased(gt: Trajectory, rels: Trajectory) -> Trajectory:

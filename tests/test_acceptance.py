@@ -162,7 +162,7 @@ def test_06_flow_loss():
         theta = np.zeros(5)
         theta[i] = 1.0
         n_pix = pyr.level(l).shape[0] * pyr.level(l).shape[1]
-        loss = et.flow_robust_loss(pyr, pyr, theta=theta, q=0.4)
+        loss = et.flow_robust_loss(pyr, pyr, theta=theta)
         floor_ok &= abs(loss - n_pix * 0.01**0.4) <= 1e-12
 
     rng = np.random.default_rng(606)
@@ -178,7 +178,7 @@ def test_06_flow_loss():
         pos = (int(rng.integers(0, h)), int(rng.integers(0, w)), int(rng.integers(0, 2)))
         step = rng.uniform(0.01, 2.0)
         bumped[pos] += step if bumped[pos] >= gt.levels[i][pos] else -step
-        mono_ok &= et.flow_robust_loss(FlowPyramid(tuple(levels[:i] + [bumped] + levels[i + 1:]), 64, 64), gt) >= base
+        mono_ok &= et.flow_robust_loss(FlowPyramid(tuple(levels[:i] + [bumped] + levels[i + 1:])), gt) >= base
     record("06 flow pyramid + robust loss", shapes_ok and floor_ok and mono_ok)
 
 

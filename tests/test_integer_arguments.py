@@ -16,7 +16,6 @@ X = np.arange(72.0).reshape(2, 6, 6)
 W = np.ones((2, 2, 3, 3))
 W_GROUPED = np.ones((2, 1, 3, 3))
 EYE2 = np.stack([np.eye(3)] * 2)
-FLOW = np.ones((30, 30, 2))
 
 # Message name -> (the call with the value in that argument's place, a valid value).
 CALLS = {
@@ -30,11 +29,10 @@ CALLS = {
     "width": (lambda v: et.PipelineConfig(width=v), 16),
     "in_channels": (lambda v: et.decoder_init(v, 6), 7),
     "channels": (lambda v: et.decoder_init(6, v), 9),
-    "multiple": (lambda v: et.pad_to_multiple(FLOW, v), 32),
     "steps": (lambda v: et.descend_loss_weights(0.5, 0.05, steps=v), 3),
 }
 # Each argument's lower bound, where ``integer`` checks one.
-LEAST = {"stride": 1, "pad": 0, "groups": 1, "stride k": 1, "multiple": 1, "steps": 0}
+LEAST = {"stride": 1, "pad": 0, "groups": 1, "stride k": 1, "steps": 0}
 
 NOT_INTEGERS = [2.5, 3.0, "8", True, np.float64(4.0), np.array(2)]
 
@@ -70,7 +68,5 @@ def test_below_lower_bound_refused(name):
 
 
 def test_cases_that_used_to_pass_silently():
-    with pytest.raises(ShapeMismatch, match="^multiple must be an integer"):
-        et.pad_to_multiple(FLOW, 2.5)
     with pytest.raises(ShapeMismatch, match="^steps must be an integer >= 0"):
         et.descend_loss_weights(0.5, 0.05, steps=-1)

@@ -168,17 +168,17 @@ class TestFlowRobustLoss:
             theta = np.zeros(5)
             theta[i] = 1.0
             n = pyr.level(l).shape[0] * pyr.level(l).shape[1]
-            assert et.flow_robust_loss(pyr, pyr, theta=theta, q=0.4) == n * 0.01**0.4
+            assert et.flow_robust_loss(pyr, pyr, theta=theta) == n * 0.01**0.4
 
     def test_single_pixel_unit_base(self):
         # 32x32 input: level 6 is a single pixel.  |du| = 0.99 with eps 0.01
-        # makes the base exactly 1.
+        # makes the base exactly 1, and so the loss at q = 0.4.
         gt = et.flow_pyramid(np.zeros((32, 32, 2)))
         levels = list(gt.levels)
         bumped = levels[-1].copy()
         bumped[0, 0, 0] = 0.99
-        pred = FlowPyramid(tuple(levels[:-1] + [bumped]), 32, 32)
-        loss = et.flow_robust_loss(pred, gt, theta=[0, 0, 0, 0, 1], q=0.5)
+        pred = FlowPyramid(tuple(levels[:-1] + [bumped]))
+        loss = et.flow_robust_loss(pred, gt, theta=[0, 0, 0, 0, 1])
         assert loss == pytest.approx(1.0, abs=1e-15)
 
     def test_theta_linearity(self, rng):
@@ -204,17 +204,8 @@ class TestFlowRobustLoss:
         delta = worse[pos] - gt.levels[i][pos]
         worse[pos] += bump if delta >= 0 else -bump
         levels[i] = worse
-        worse_loss = et.flow_robust_loss(FlowPyramid(tuple(levels), 32, 32), gt)
+        worse_loss = et.flow_robust_loss(FlowPyramid(tuple(levels)), gt)
         assert worse_loss >= base
-
-    def test_penalty_validation(self):
-        pyr = et.flow_pyramid(np.zeros((32, 32, 2)))
-        with pytest.raises(BadPenalty):
-            et.flow_robust_loss(pyr, pyr, q=1.0)
-        with pytest.raises(BadPenalty):
-            et.flow_robust_loss(pyr, pyr, q=0.0)
-        with pytest.raises(BadPenalty):
-            et.flow_robust_loss(pyr, pyr, eps=0.0)
 
     def test_shape_validation(self):
         a = et.flow_pyramid(np.zeros((32, 32, 2)))
@@ -223,12 +214,6 @@ class TestFlowRobustLoss:
             et.flow_robust_loss(a, b)
         with pytest.raises(ShapeMismatch):
             et.flow_robust_loss(a, a, theta=[1.0, 1.0])
-
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.01])
-    def test_non_finite_or_non_positive_eps_refused(self, eps):
-        pyr = et.flow_pyramid(np.zeros((32, 32, 2)))
-        with pytest.raises(BadPenalty, match="eps"):
-            et.flow_robust_loss(pyr, pyr, eps=eps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_non_finite_or_negative_theta_refused(self, bad):

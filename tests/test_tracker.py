@@ -108,8 +108,8 @@ class TestChainAbsolute:
 
     def test_frames_and_unit(self, rng):
         p0 = random_pose(rng, unit="cm")
-        traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3, start=14), k=2)
-        assert traj.frames == (10, 12, 14, 16)
+        traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3, k=2, start=14))
+        assert traj.frames == (12, 14, 16, 18)
         assert traj.unit == "cm"
 
     def test_default_frames_are_the_frames_rels_label(self):
@@ -119,7 +119,17 @@ class TestChainAbsolute:
         rels = trajectory_of([et.identity_pose()] * 3, k=3, start=10)
         traj = et.chain_absolute(p0, rels)
         assert (traj.k, traj.frames) == (3, (7, 10, 13, 16))
-        assert et.chain_absolute(p0, rels, k=2).frames == (7, 9, 11, 13)
+
+    def test_stride_is_the_stride_of_rels(self):
+        gt = et.synth_trajectory(6, seed=2)
+        p0, rels = gt.poses[0], gt.relatives()
+        default, same = et.chain_absolute(p0, rels), et.chain_absolute(p0, rels, k=rels.k)
+        assert np.array_equal(default.R, same.R) and np.array_equal(default.t, same.t)
+        assert default.frames == same.frames == gt.frames
+        for k in (1, 7):
+            with pytest.raises(AlignmentError, match=f"^rels: from frame 4 at stride 4, "
+                                                     f"expected from frame 4 at stride {k}$"):
+                et.chain_absolute(p0, rels, k=k)
 
     def test_mixed_units_refused(self, rng):
         rels = trajectory_of([random_pose(rng, unit="mm")] * 3)
@@ -217,8 +227,9 @@ class TestSynth:
 
     def test_poses_valid(self):
         traj = et.synth_trajectory(500, seed=13)
-        for p in traj.poses[::50]:
-            et.check_rotation(p.R, tol=1e-9)
+        R = traj.R[::50]
+        assert se3._ortho_defect(R).max() <= 1e-9
+        assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-9
 
     def test_starts_at_identity(self):
         traj = et.synth_trajectory(5, seed=1)
@@ -325,7 +336,7 @@ class TestAgainstLoopOracle:
         for seed in (1, 2):
             rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, sigma_r=0.01, seed=seed))
             p0 = random_pose(rng, unit="cm")
-            assert_same_bits(et.chain_absolute(p0, rels, k=3), chain_absolute_loop(p0, rels, k=3))
+            assert_same_bits(et.chain_absolute(p0, rels, k=3), chain_absolute_loop(p0, rels))
             assert_same_bits(et.chain_rebased(gt, rels), chain_rebased_loop(gt, rels))
 
     def test_chains_with_drift_repair(self, rng, monkeypatch):
@@ -339,7 +350,7 @@ class TestAgainstLoopOracle:
         p0 = gt.poses[0]
         got = et.chain_absolute(p0, rels, k=3), et.chain_rebased(gt, rels)
         assert len(repairs) == 2 * len(rels)
-        want = chain_absolute_loop(p0, rels, k=3), chain_rebased_loop(gt, rels)
+        want = chain_absolute_loop(p0, rels), chain_rebased_loop(gt, rels)
         assert len(repairs) == 4 * len(rels)
         for g, w in zip(got, want):
             assert_same_bits(g, w)

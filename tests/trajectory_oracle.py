@@ -56,7 +56,7 @@ def synth_trajectory_loop(n: int, smoothness: float = 1.0, seed: int = 0,
     return Trajectory(R, t, k, unit)
 
 
-def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int | None = None) -> Trajectory:
+def chain_absolute_loop(p0: Pose, rels: Trajectory) -> Trajectory:
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
@@ -65,7 +65,7 @@ def chain_absolute_loop(p0: Pose, rels: Trajectory, k: int | None = None) -> Tra
         if i % RENORM_EVERY == 0:
             cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
         R[i], t[i] = cur.R, cur.t
-    return Trajectory(R, t, rels.k if k is None else k, p0.unit, rels.start - rels.k)
+    return Trajectory(R, t, rels.k, p0.unit, rels.start - rels.k)
 
 
 def chain_rebased_loop(gt: Trajectory, rels: Trajectory) -> Trajectory:
