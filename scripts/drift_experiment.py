@@ -36,7 +36,7 @@ def main():
         gt = et.synth_trajectory(args.n + 1, smoothness=args.smoothness, seed=seed)
         sigma = args.noise_frac * et.mean_step_length(gt)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=sigma, seed=1000 + seed))
-        rc, mc = decile_ratio(gt, et.chain_absolute(et.Pose(gt.R[0], gt.t[0], gt.unit), rels))
+        rc, mc = decile_ratio(gt, et.chain_absolute(gt[0], rels))
         rr, mr = decile_ratio(gt, et.chain_rebased(gt, rels))
         chained_r.append(rc)
         rebased_r.append(rr)

@@ -24,7 +24,6 @@ from .errors import BadExtent, EndotrackError, integer, plain
 from .files import UNITS, atomic_write_texts, read_trajectory, trajectory_chunks, write_trajectory
 from .metrics import evaluate
 from .pipeline import PipelineConfig, init_pipeline, pipeline_forward
-from .se3 import Pose
 from .tracker import (DEFAULT_STRIDE, NoiseSpec, chain_absolute, chain_rebased, check_frames,
                       perturb_relatives, synth_trajectory)
 
@@ -74,7 +73,7 @@ def cmd_track(args) -> int:
     base = read_trajectory(args.base)
     if args.mode == "chained":
         check_frames(rels, "relatives", base.start + base.k, base.k)
-        est = chain_absolute(Pose(base.R[0], base.t[0], base.unit), rels)
+        est = chain_absolute(base[0], rels)
     else:
         est = chain_rebased(base, rels)
     write_trajectory(args.out, est)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (ArchiveMismatch, EndotrackError, NotARotation, TrajectoryParseError,
                      ZeroQuaternion, plain)
-from .se3 import Pose, PoseVec, pose_from_vec, pose_to_vec
+from .se3 import PoseVec, pose_from_vec, pose_to_vec
 from .tracker import BLOCK_ROWS, Trajectory
 from .tree import flatten, map_leaves
 
@@ -111,7 +111,8 @@ def trajectory_chunks(traj: Trajectory):
     string per block of BLOCK_ROWS rows.  Before any text is made, a
     trajectory without rows or in a unit not in UNITS raises EndotrackError
     and a translation beyond POSE_BOUND raises NotARotation naming its frame.
-    A block's R is converted when the block is reached; one that is not a
+    A block, the slice ``traj[r0:r0 + BLOCK_ROWS]``, is converted when it is
+    reached and labelled with its own ``frames``; an R in it that is not a
     rotation within se3.ROTATION_TOL raises NotARotation there naming its
     frame, and a rotation's quaternion is of unit norm.  So nothing is
     written that cannot be read back."""
@@ -121,20 +122,21 @@ def trajectory_chunks(traj: Trajectory):
     # Two comparisons, so NaN fails both and no float temporary is made.
     beyond = ~((traj.t <= POSE_BOUND) & (traj.t >= -POSE_BOUND)).all(axis=1)
     if beyond.any():
-        raise _beyond_bound(f"frame {traj.start + int(beyond.argmax()) * traj.k}")
+        raise _beyond_bound(f"frame {traj.frames[beyond.argmax()]}")
     return _blocks(traj)
 
 
 def _blocks(traj: Trajectory):
     yield f"unit={traj.unit} k={traj.k}\n"
     for r0 in range(0, len(traj), BLOCK_ROWS):
+        block = traj[r0:r0 + BLOCK_ROWS]
         try:
-            v = pose_to_vec(Pose(traj.R[r0:r0 + BLOCK_ROWS], traj.t[r0:r0 + BLOCK_ROWS], traj.unit))
+            v = pose_to_vec(block)
         except NotARotation as e:
-            raise NotARotation(f"frame {traj.start + (r0 + e.index[0]) * traj.k}: {e}") from None
-        n = len(v.t)
+            raise NotARotation(f"frame {block.frames[e.index[0]]}: {e}") from None
+        n = len(block)
         cells = [None] * (8 * n)
-        cells[0::8] = range(traj.start + r0 * traj.k, traj.start + (r0 + n) * traj.k, traj.k)
+        cells[0::8] = block.frames
         # Scalar-first internally -> scalar-last on disk.
         for j, column in enumerate(v.t.T.tolist() + np.roll(v.q, -1, axis=1).T.tolist(), start=1):
             cells[j::8] = column

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, same_unit
-from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, relative_pose, vec_norm
+from .se3 import Pose, euler_from_rotmat, pose_compose, pose_inverse, vec_norm
 from .tracker import BLOCK_ROWS, Trajectory, check_frames
 
 
@@ -109,8 +109,9 @@ class MetricReport:
 def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
     """Per-frame ATE/CE/DE and per-step RTE/ROT with mean±std summaries.
 
-    The series are filled BLOCK_ROWS rows at a time, so no temporary spans
-    the trajectories; each block's steps run from the row before it.
+    The series are filled from slices of BLOCK_ROWS rows, ``gt[lo:hi]`` and
+    ``est[lo:hi]``, so no temporary spans the trajectories; each block's
+    steps are the ``relatives()`` of the slice from the row before it.
     Raises UnitMismatch unless the unit tags agree, LengthMismatch for a gt
     without rows and, through check_frames, AlignmentError unless est holds
     gt's frames.
@@ -120,14 +121,12 @@ def evaluate(gt: Trajectory, est: Trajectory) -> MetricReport:
         raise LengthMismatch(f"gt: need at least 1 pose, got {len(gt)}")
     check_frames(est, "est", gt.start, gt.k, len(gt))
     n = len(gt)
-    report = MetricReport(range(gt.start, gt.start + n * gt.k, gt.k), np.empty(n), np.empty(n),
-                          np.empty(n), np.empty(n - 1), np.empty(n - 1), gt.unit)
+    report = MetricReport(gt.frames, np.empty(n), np.empty(n), np.empty(n), np.empty(n - 1),
+                          np.empty(n - 1), gt.unit)
     for lo in range(0, n, BLOCK_ROWS):
-        hi, before = min(lo + BLOCK_ROWS, n), max(lo - 1, 0)
-        g, e = (Pose(traj.R[lo:hi], traj.t[lo:hi], traj.unit) for traj in (gt, est))
+        hi, before = lo + BLOCK_ROWS, max(lo - 1, 0)
+        g, e = gt[lo:hi], est[lo:hi]
         report.ate[lo:hi], report.ce[lo:hi], report.de[lo:hi] = ate(g, e), ce(g, e), de(g, e)
-        g_rel, e_rel = (relative_pose(Pose(traj.R[before:hi - 1], traj.t[before:hi - 1], traj.unit),
-                                      Pose(traj.R[before + 1:hi], traj.t[before + 1:hi], traj.unit))
-                        for traj in (gt, est))
+        g_rel, e_rel = gt[before:hi].relatives(), est[before:hi].relatives()
         report.rte[before:hi - 1], report.rot[before:hi - 1] = rte(g_rel, e_rel), rot(g_rel, e_rel)
     return report

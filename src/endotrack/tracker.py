@@ -1,5 +1,9 @@
 """Absolute-pose chaining, ground-truth rebasing, and synthetic trajectories.
 
+A ``Trajectory`` holds its poses as arrays and indexes as them: ``traj[i]``
+is frame ``traj.frames[i]`` as a Pose and ``traj[a:b]`` the Trajectory of
+those rows, so no caller works out a row's frame by hand.
+
 Chained mode and synthesis run the one pose recurrence P_i = P_{i-1} * rel_i
 (``_prefix``), so chained per-step errors compound into drift.  Rebased mode
 composes each estimate onto the ground-truth previous pose instead, isolating
@@ -9,7 +13,6 @@ the per-step relative error.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -31,7 +34,9 @@ BLOCK_ROWS = 1024
 @dataclass(frozen=True)
 class Trajectory:
     """Absolute poses as arrays: ``R`` (N, 3, 3) and ``t`` (N, 3), with frame
-    ``start + i * k`` at row i and one length unit for all rows."""
+    ``start + i * k`` at row i and one length unit for all rows.  ``frames``
+    is that range; ``traj[i]`` is row i as a Pose and ``traj[a:b]`` the
+    Trajectory of those rows."""
 
     R: np.ndarray
     t: np.ndarray
@@ -55,37 +60,30 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def frames(self) -> tuple:
-        return tuple(range(self.start, self.start + len(self) * self.k, self.k))
+    def __getitem__(self, i):
+        """Row i as a Pose around views of R and t, built when it is read; a
+        slice as the Trajectory of its rows at their own frames, so a step of
+        s is stride k * s and a negative step raises ShapeMismatch."""
+        if isinstance(i, slice):
+            fr = self.frames[i]
+            return Trajectory(self.R[i], self.t[i], fr.step, self.unit, fr.start)
+        # An integer only: an array index would stack rows.
+        i = operator.index(i)
+        return _pose(self.R[i], self.t[i], self.unit)
 
     @property
-    def poses(self) -> Sequence[Pose]:
-        """Row i as a Pose, built when it is read; a slice gives a tuple."""
-        return _Poses(self)
+    def frames(self) -> range:
+        return range(self.start, self.start + len(self) * self.k, self.k)
+
+    @property
+    def poses(self) -> Trajectory:
+        """The trajectory itself, which indexes as its poses; kept only for perfbench."""
+        return self
 
     def relatives(self) -> Trajectory:
         """Exact relative poses between consecutive frames, indexed by the later frame."""
-        rel = relative_pose(Pose(self.R[:-1], self.t[:-1], self.unit),
-                            Pose(self.R[1:], self.t[1:], self.unit))
+        rel = relative_pose(self[:-1], self[1:])
         return Trajectory(rel.R, rel.t, self.k, self.unit, self.start + self.k)
-
-
-class _Poses(Sequence):
-    """A trajectory's rows as Poses around views of its arrays, read-only."""
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return len(self._traj)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        # An integer only, as a tuple takes: an array index would stack rows.
-        i = operator.index(i)
-        return _pose(self._traj.R[i], self._traj.t[i], self._traj.unit)
 
 
 @dataclass(frozen=True)

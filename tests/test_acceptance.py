@@ -191,12 +191,12 @@ def test_07_drift_experiment():
         gt = et.synth_trajectory(n_steps + 1, smoothness=1.0, seed=seed)
         sigma = 0.01 * et.mean_step_length(gt)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=sigma, seed=1000 + seed))
-        chained = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        chained = et.chain_absolute(gt[0], rels, k=gt.k)
         rebased = et.chain_rebased(gt, rels)
 
         def decile_ratio(est):
             errs = np.array(
-                [np.linalg.norm(g.t - e.t) for g, e in zip(gt.poses[1:], est.poses[1:])]
+                [np.linalg.norm(g.t - e.t) for g, e in zip(gt[1:], est[1:])]
             )
             n = len(errs) // 10
             return errs[-n:].mean() / errs[:n].mean()

@@ -140,7 +140,7 @@ class TestTrack:
         assert code == 0
         out = et.read_trajectory(est)
         ref = et.read_trajectory(gt)
-        for a, b in zip(out.poses, ref.poses):
+        for a, b in zip(out, ref):
             assert np.max(np.abs(a.t - b.t)) < 1e-9
 
     def test_identity_relatives_constant_trajectory(self, tmp_path, capsys):
@@ -153,7 +153,7 @@ class TestTrack:
         est = tmp_path / "est.txt"
         code, _, _ = run(capsys, "track", str(rels), "--base", str(base), "--out", str(est))
         assert code == 0
-        for p in et.read_trajectory(est).poses:
+        for p in et.read_trajectory(est):
             assert np.array_equal(p.t, [1.0, 2.0, 3.0])
 
     def test_rebased_mode(self, tmp_path, capsys):

@@ -36,13 +36,13 @@ class TestTrajectoryRoundTrip:
         et.write_trajectory(path, traj)
         back = et.read_trajectory(path)
         assert back.unit == "cm" and back.k == 2 and back.frames == traj.frames
-        for a, b in zip(traj.poses, back.poses):
+        for a, b in zip(traj, back):
             assert np.array_equal(a.t, b.t)
             assert np.max(np.abs(a.R - b.R)) <= 1e-12
 
     def test_start_frame_kept(self):
         traj = parse_trajectory("unit=cm k=3\n12 0 0 0 0 0 0 1\n15 1 0 0 0 0 0 1\n")
-        assert traj.start == 12 and traj.frames == (12, 15) and traj.k == 3
+        assert traj.start == 12 and tuple(traj.frames) == (12, 15) and traj.k == 3
         assert format_trajectory(traj).splitlines()[1:] == ["12 0.0 0.0 0.0 0.0 0.0 0.0 1.0",
                                                            "15 1.0 0.0 0.0 0.0 0.0 0.0 1.0"]
 
@@ -52,7 +52,7 @@ class TestTrajectoryRoundTrip:
         traj = et.synth_trajectory(10, seed=3)
         once = parse_trajectory(format_trajectory(traj))
         twice = parse_trajectory(format_trajectory(once))
-        for a, b in zip(once.poses, twice.poses):
+        for a, b in zip(once, twice):
             assert np.array_equal(a.t, b.t)
             assert np.max(np.abs(a.R - b.R)) <= 1e-14
 
@@ -60,12 +60,12 @@ class TestTrajectoryRoundTrip:
         text = "# a comment\n\nunit=mm k=4\n# another\n0 0 0 0 0 0 0 1\n\n4 1 2 3 0 0 0 1\n"
         traj = parse_trajectory(text)
         assert len(traj) == 2
-        assert np.array_equal(traj.poses[1].t, [1.0, 2.0, 3.0])
+        assert np.array_equal(traj[1].t, [1.0, 2.0, 3.0])
 
     def test_scalar_last_on_disk(self):
         # qx qy qz qw columns; a half-turn about x is (1, 0, 0, 0).
         text = "unit=mm k=1\n0 0 0 0 1 0 0 0\n"
-        pose = parse_trajectory(text).poses[0]
+        pose = parse_trajectory(text)[0]
         assert np.allclose(pose.R, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
 
@@ -320,7 +320,7 @@ class TestBlocks:
     def test_frames_beyond_int64_read(self):
         text = "unit=mm k=4\n9223372036854775807 0 0 0 0 0 0 1\n9223372036854775811 0 0 0 0 0 0 1\n"
         traj = parse_trajectory(text)
-        assert traj.frames == (2**63 - 1, 2**63 + 3)
+        assert tuple(traj.frames) == (2**63 - 1, 2**63 + 3)
         assert format_trajectory(traj) == text.replace(" 0 0 0 0 0 0 1", " 0.0 0.0 0.0 0.0 0.0 0.0 1.0")
 
 

@@ -131,7 +131,7 @@ class TestStacks:
         for name, fn in METRICS.items():
             stacked = fn(gt, est)
             assert stacked.shape == (40,), name
-            one = np.array([fn(g, e) for g, e in zip(gt.poses, est.poses)])
+            one = np.array([fn(g, e) for g, e in zip(gt, est)])
             assert np.array_equal(stacked, one), name
 
     def test_empty_stacks(self):
@@ -213,20 +213,20 @@ class TestEvaluate:
     def test_noisy_run_matches_scalar_oracles(self):
         gt = et.synth_trajectory(50, seed=9)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, sigma_r=0.01, seed=10))
-        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        est = et.chain_absolute(gt[0], rels, k=gt.k)
         rep = et.evaluate(gt, est)
-        for i, (g, e) in enumerate(zip(gt.poses, est.poses)):
+        for i, (g, e) in enumerate(zip(gt, est)):
             assert rep.ate[i] == pytest.approx(oracle_ate(g, e), abs=1e-9)
             assert rep.ce[i] == pytest.approx(oracle_ce(g, e), abs=1e-9)
             assert rep.de[i] == pytest.approx(oracle_de(g, e), abs=1e-9)
-        for i, (g, e) in enumerate(zip(gt.relatives().poses, est.relatives().poses)):
+        for i, (g, e) in enumerate(zip(gt.relatives(), est.relatives())):
             assert rep.rte[i] == pytest.approx(oracle_rte(g, e), abs=1e-9)
             assert rep.rot[i] == pytest.approx(oracle_rot(g, e), abs=1e-9)
 
     def test_population_std(self):
         gt = et.synth_trajectory(30, seed=4)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, seed=5))
-        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        est = et.chain_absolute(gt[0], rels, k=gt.k)
         rep = et.evaluate(gt, est)
         mean, std = rep.summary()["ate"]
         assert std == pytest.approx(float(np.std(rep.ate, ddof=0)), abs=1e-15)
@@ -234,7 +234,7 @@ class TestEvaluate:
     def test_report_ranges(self):
         gt = et.synth_trajectory(40, seed=6)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.2, sigma_r=0.2, seed=7))
-        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        est = et.chain_absolute(gt[0], rels, k=gt.k)
         rep = et.evaluate(gt, est)
         assert np.all((rep.de >= 0.0) & (rep.de <= 180.0))
         assert np.all((rep.rot >= 0.0) & (rep.rot <= 180.0))
@@ -247,7 +247,7 @@ class TestEvaluate:
         streamed text equals the report laid out one line per frame."""
         gt = et.synth_trajectory(n, seed=n)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.002, seed=1))
-        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        est = et.chain_absolute(gt[0], rels, k=gt.k)
         rep = et.evaluate(gt, est)
         gt_rels, est_rels = gt.relatives(), est.relatives()
         whole = {"ate": et.ate(gt, est), "ce": et.ce(gt, est), "de": et.de(gt, est),
@@ -268,7 +268,7 @@ class TestEvaluate:
         # whole arrays at once took 2.35x.
         gt = et.synth_trajectory(20_000, seed=1)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.002, seed=2))
-        est = et.chain_absolute(gt.poses[0], rels, k=gt.k)
+        est = et.chain_absolute(gt[0], rels, k=gt.k)
         inputs = sum(a.nbytes for a in (gt.R, gt.t, est.R, est.t))
         tracemalloc.start()
         try:

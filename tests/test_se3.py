@@ -438,18 +438,17 @@ class TestUncheckedConstructor:
 
     def test_trajectory_rows(self, rng):
         traj = trajectory_of([random_pose(rng, unit="cm") for _ in range(5)], k=2, start=4)
-        poses = traj.poses
-        assert len(poses) == 5
-        for i, p in enumerate(poses):
+        assert len(traj) == 5
+        for i, p in enumerate(traj):
             assert_checked_pose(p, "cm")
             assert np.array_equal(p.R, traj.R[i]) and np.array_equal(p.t, traj.t[i])
 
     def test_chains(self, rng):
         gt = et.synth_trajectory(70, seed=5, unit="cm", k=3)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.01, sigma_r=0.01, seed=6))
-        for traj in (et.chain_absolute(gt.poses[0], rels, k=3), et.chain_rebased(gt, rels), gt):
+        for traj in (et.chain_absolute(gt[0], rels, k=3), et.chain_rebased(gt, rels), gt):
             assert traj.R.flags.c_contiguous and traj.t.flags.c_contiguous
-            for p in traj.poses:
+            for p in traj:
                 assert_checked_pose(p, "cm")
 
     def test_public_pose_still_converts_and_checks(self):

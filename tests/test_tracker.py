@@ -13,7 +13,7 @@ from trajectory_oracle import chain_absolute_loop, chain_rebased_loop, synth_tra
 
 
 def ate_series(gt, est):
-    return np.array([np.linalg.norm(g.t - e.t) for g, e in zip(gt.poses, est.poses)])
+    return np.array([np.linalg.norm(g.t - e.t) for g, e in zip(gt, est)])
 
 
 class TestTrajectoryType:
@@ -40,7 +40,7 @@ class TestTrajectoryType:
     def test_numpy_integer_stride_and_start_taken_as_int(self):
         traj = et.Trajectory(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), k=np.int64(3), start=np.uint8(6))
         assert type(traj.k) is int and type(traj.start) is int
-        assert (traj.k, traj.start, traj.frames) == (3, 6, (6, 9))
+        assert (traj.k, traj.start, tuple(traj.frames)) == (3, 6, (6, 9))
         back = files.parse_trajectory(files.format_trajectory(traj))
         assert back.k == 3 and back.frames == traj.frames
 
@@ -49,37 +49,43 @@ class TestTrajectoryType:
         traj = et.Trajectory(R, np.zeros((3, 4), dtype=np.float32).T, k=2, start=6)
         for a in (traj.R, traj.t):
             assert a.dtype == np.float64 and a.flags.c_contiguous
-        assert traj.frames == (6, 8, 10, 12)
-        assert np.array_equal(traj.poses[2].R, R[2]) and traj.poses[2].unit == "mm"
+        assert tuple(traj.frames) == (6, 8, 10, 12)
+        assert np.array_equal(traj[2].R, R[2]) and traj[2].unit == "mm"
 
-    def test_poses_built_on_access(self, rng, monkeypatch):
-        traj = trajectory_of([random_pose(rng, unit="cm") for _ in range(4)], k=2)
+    def test_indexing_gives_poses_and_trajectories(self, rng, monkeypatch):
+        traj = trajectory_of([random_pose(rng, unit="cm") for _ in range(4)], k=2, start=6)
         built = []
         monkeypatch.setattr(tracker, "_pose", lambda *a: built.append(a) or se3._pose(*a))
-        poses = traj.poses
-        first, last = poses[0], poses[-1]
-        assert len(built) == 2 and len(poses) == 4
+        first, last = traj[0], traj[-1]
+        assert len(built) == 2
         assert np.array_equal(first.R, traj.R[0]) and np.array_equal(last.t, traj.t[3])
         assert first.unit == "cm" and np.shares_memory(first.R, traj.R)
-        assert [p.t.tolist() for p in poses] == traj.t.tolist()
-        assert [p.t.tolist() for p in poses[1::2]] == traj.t[1::2].tolist()
-        assert isinstance(poses[:2], tuple) and poses[5:] == ()
+        assert [p.t.tolist() for p in traj] == traj.t.tolist()
+        assert isinstance(traj.frames, range)
+        for sl in (slice(1, 3), slice(None, None, 2), slice(-2, None), slice(5, None)):
+            part = traj[sl]
+            assert isinstance(part, et.Trajectory) and part.unit == "cm"
+            assert part.frames == traj.frames[sl]
+            assert np.array_equal(part.R, traj.R[sl]) and np.array_equal(part.t, traj.t[sl])
+        assert len(traj[5:]) == 0
+        with pytest.raises(ShapeMismatch, match="stride k"):
+            traj[::-1]
         with pytest.raises(IndexError):
-            poses[4]
+            traj[4]
         with pytest.raises(TypeError):
-            poses[np.array([0, 1])]
+            traj[np.array([0, 1])]
         with pytest.raises(TypeError):
-            poses[0] = first
+            traj[0] = first
 
     def test_relatives_indexed_by_later_frame(self, rng):
         poses = [random_pose(rng) for _ in range(3)]
         rels = trajectory_of(poses, k=2, start=10).relatives()
-        assert rels.frames == (12, 14) and rels.k == 2
-        for i, rel in enumerate(rels.poses):
+        assert tuple(rels.frames) == (12, 14) and rels.k == 2
+        for i, rel in enumerate(rels):
             one = et.relative_pose(poses[i], poses[i + 1])
             assert np.array_equal(rel.R, one.R) and np.array_equal(rel.t, one.t)
         single = trajectory_of(poses[:1], start=10).relatives()
-        assert len(single) == 0 and single.start == 14 and single.frames == ()
+        assert len(single) == 0 and single.start == 14 and tuple(single.frames) == ()
 
 
 class TestChainAbsolute:
@@ -87,7 +93,7 @@ class TestChainAbsolute:
         p0 = random_pose(rng)
         traj = et.chain_absolute(p0, trajectory_of([et.identity_pose()] * 5))
         assert len(traj) == 6
-        for p in traj.poses:
+        for p in traj:
             assert np.allclose(p.R, p0.R, atol=1e-15)
             assert np.allclose(p.t, p0.t, atol=1e-15)
 
@@ -95,34 +101,34 @@ class TestChainAbsolute:
         p0, rel = random_pose(rng), random_pose(rng)
         traj = et.chain_absolute(p0, trajectory_of([rel]))
         expect = et.pose_compose(p0, rel)
-        assert np.allclose(traj.poses[1].R, expect.R, atol=1e-15)
-        assert np.allclose(traj.poses[1].t, expect.t, atol=1e-15)
+        assert np.allclose(traj[1].R, expect.R, atol=1e-15)
+        assert np.allclose(traj[1].t, expect.t, atol=1e-15)
 
     def test_exact_relatives_round_trip_1000_steps(self):
         gt = et.synth_trajectory(1001, smoothness=1.0, seed=11)
-        est = et.chain_absolute(gt.poses[0], gt.relatives(), k=gt.k)
+        est = et.chain_absolute(gt[0], gt.relatives(), k=gt.k)
         errs = ate_series(gt, est)
         assert errs.max() <= 1e-7
-        for g, e in zip(gt.poses[::100], est.poses[::100]):
+        for g, e in zip(gt[::100], est[::100]):
             assert np.max(np.abs(g.R - e.R)) <= 1e-7
 
     def test_frames_and_unit(self, rng):
         p0 = random_pose(rng, unit="cm")
         traj = et.chain_absolute(p0, trajectory_of([random_pose(rng, unit="cm")] * 3, k=2, start=14))
-        assert traj.frames == (12, 14, 16, 18)
+        assert tuple(traj.frames) == (12, 14, 16, 18)
         assert traj.unit == "cm"
 
     def test_default_frames_are_the_frames_rels_label(self):
         gt = et.synth_trajectory(5, k=1)
         p0 = et.Pose(gt.R[0], gt.t[0], gt.unit)
-        assert et.chain_absolute(p0, gt.relatives()).frames == gt.frames == (0, 1, 2, 3, 4)
+        assert tuple(et.chain_absolute(p0, gt.relatives()).frames) == tuple(gt.frames) == (0, 1, 2, 3, 4)
         rels = trajectory_of([et.identity_pose()] * 3, k=3, start=10)
         traj = et.chain_absolute(p0, rels)
-        assert (traj.k, traj.frames) == (3, (7, 10, 13, 16))
+        assert (traj.k, tuple(traj.frames)) == (3, (7, 10, 13, 16))
 
     def test_stride_is_the_stride_of_rels(self):
         gt = et.synth_trajectory(6, seed=2)
-        p0, rels = gt.poses[0], gt.relatives()
+        p0, rels = gt[0], gt.relatives()
         default, same = et.chain_absolute(p0, rels), et.chain_absolute(p0, rels, k=rels.k)
         assert np.array_equal(default.R, same.R) and np.array_equal(default.t, same.t)
         assert default.frames == same.frames == gt.frames
@@ -153,7 +159,7 @@ class TestChainRebased:
     def test_length_mismatch(self):
         gt = et.synth_trajectory(5, seed=0)
         with pytest.raises(AlignmentError):
-            et.chain_rebased(gt, trajectory_of(gt.relatives().poses[:-1]))
+            et.chain_rebased(gt, trajectory_of(gt.relatives()[:-1]))
 
     # Relatives at another stride, from another frame or of another count.
     @pytest.mark.parametrize("k, start, n, have", [
@@ -190,15 +196,15 @@ class TestChainRebased:
         gt = et.synth_trajectory(2, seed=8)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=0.05, seed=1))
         rebased = et.chain_rebased(gt, rels)
-        chained = et.chain_absolute(gt.poses[0], rels, k=gt.k)
-        assert np.array_equal(rebased.poses[1].t, chained.poses[1].t)
-        assert np.array_equal(rebased.poses[1].R, chained.poses[1].R)
+        chained = et.chain_absolute(gt[0], rels, k=gt.k)
+        assert np.array_equal(rebased[1].t, chained[1].t)
+        assert np.array_equal(rebased[1].R, chained[1].R)
 
     def test_no_drift_growth(self):
         gt = et.synth_trajectory(300, seed=5)
         sigma = 0.01 * et.mean_step_length(gt)
         rels = et.perturb_relatives(gt, et.NoiseSpec(sigma_t=sigma, seed=6))
-        chained = ate_series(gt, et.chain_absolute(gt.poses[0], rels, k=gt.k))[1:]
+        chained = ate_series(gt, et.chain_absolute(gt[0], rels, k=gt.k))[1:]
         rebased = ate_series(gt, et.chain_rebased(gt, rels))[1:]
         n = len(chained) // 10
         assert chained[-n:].mean() > 3.0 * chained[:n].mean()
@@ -215,13 +221,13 @@ class TestSynth:
     def test_seed_reproducible(self):
         a = et.synth_trajectory(20, seed=42)
         b = et.synth_trajectory(20, seed=42)
-        for p, q in zip(a.poses, b.poses):
+        for p, q in zip(a, b):
             assert np.array_equal(p.R, q.R) and np.array_equal(p.t, q.t)
 
     def test_step_lengths_bounded_by_smoothness(self):
         for smoothness in (0.5, 2.0):
             traj = et.synth_trajectory(200, smoothness=smoothness, seed=9)
-            steps = [np.linalg.norm(r.t) for r in traj.relatives().poses]
+            steps = [np.linalg.norm(r.t) for r in traj.relatives()]
             assert max(steps) <= smoothness + 1e-9
             assert min(steps) > 0.0
 
@@ -233,8 +239,8 @@ class TestSynth:
 
     def test_starts_at_identity(self):
         traj = et.synth_trajectory(5, seed=1)
-        assert np.array_equal(traj.poses[0].R, np.eye(3))
-        assert np.array_equal(traj.poses[0].t, np.zeros(3))
+        assert np.array_equal(traj[0].R, np.eye(3))
+        assert np.array_equal(traj[0].t, np.zeros(3))
 
 
 class TestPerturb:
@@ -284,7 +290,7 @@ class TestPerturb:
         spec = et.NoiseSpec(sigma_t=0.1, sigma_r=0.01, bias_t=np.array([0.0, 0.2, 0.0]), seed=5)
         noisy = et.perturb_relatives(gt, spec)
         rng = np.random.default_rng(spec.seed)
-        for rel, got in zip(gt.relatives().poses, noisy.poses):
+        for rel, got in zip(gt.relatives(), noisy):
             t = rel.t + spec.bias_t + spec.sigma_t * rng.standard_normal(3)
             axis = rng.standard_normal(3)
             angle = abs(rng.normal(0.0, spec.sigma_r))
@@ -295,9 +301,9 @@ class TestPerturb:
 class TestRenormalization:
     def test_long_chain_rotations_stay_orthonormal(self):
         gt = et.synth_trajectory(2000, seed=17)
-        est = et.chain_absolute(gt.poses[0], gt.relatives(), k=gt.k)
+        est = et.chain_absolute(gt[0], gt.relatives(), k=gt.k)
         worst = max(
-            np.max(np.abs(p.R.T @ p.R - np.eye(3))) for p in est.poses[::100]
+            np.max(np.abs(p.R.T @ p.R - np.eye(3))) for p in est[::100]
         )
         assert worst < 1e-9
 
@@ -308,7 +314,7 @@ class TestRenormalization:
         monkeypatch.setattr(tracker, "orthonormalize", lambda R: calls.append(1) or se3.orthonormalize(R))
         gt = et.synth_trajectory(2 * tracker.RENORM_EVERY + 1)
         assert len(calls) == 0
-        et.chain_absolute(gt.poses[0], gt.relatives(), k=gt.k)
+        et.chain_absolute(gt[0], gt.relatives(), k=gt.k)
         assert len(calls) == 2
 
 
@@ -347,7 +353,7 @@ class TestAgainstLoopOracle:
                              exact.k, exact.unit, exact.start)
         repairs = []
         monkeypatch.setattr(se3, "orthonormalize", lambda R: repairs.append(1) or et.orthonormalize(R))
-        p0 = gt.poses[0]
+        p0 = gt[0]
         got = et.chain_absolute(p0, rels, k=3), et.chain_rebased(gt, rels)
         assert len(repairs) == 2 * len(rels)
         want = chain_absolute_loop(p0, rels), chain_rebased_loop(gt, rels)

@@ -1,9 +1,9 @@
 """Per-step references for the trajectory loops and the pose composition.
 
 ``synth_trajectory_loop`` draws, filters, normalizes and composes one step at
-a time; ``chain_absolute_loop`` and ``chain_rebased_loop`` compose the
-per-pose ``Trajectory.poses`` views.  endotrack.tracker batches everything
-but the compose recurrence and reads array rows; tests require equal bits.
+a time; ``chain_absolute_loop`` and ``chain_rebased_loop`` compose the rows
+one ``traj[i]`` pose at a time.  endotrack.tracker batches everything but the
+compose recurrence and reads array rows; tests require equal bits.
 ``pose_compose_reference`` keeps the plain ``@``/``matvec`` arithmetic, tests
 every rotation's drift on its own and builds a checked ``Pose``;
 ``se3.pose_compose`` must equal it bit for bit.  The loops compose through it,
@@ -60,7 +60,7 @@ def chain_absolute_loop(p0: Pose, rels: Trajectory) -> Trajectory:
     R, t = np.empty((len(rels) + 1, 3, 3)), np.empty((len(rels) + 1, 3))
     R[0], t[0] = p0.R, p0.t
     cur = p0
-    for i, rel in enumerate(rels.poses, start=1):
+    for i, rel in enumerate(rels, start=1):
         cur = pose_compose_reference(cur, rel)
         if i % RENORM_EVERY == 0:
             cur = Pose(orthonormalize(cur.R), cur.t, cur.unit)
@@ -70,7 +70,7 @@ def chain_absolute_loop(p0: Pose, rels: Trajectory) -> Trajectory:
 
 def chain_rebased_loop(gt: Trajectory, rels: Trajectory) -> Trajectory:
     R, t = gt.R.copy(), gt.t.copy()
-    for i, (prev_gt, rel) in enumerate(zip(gt.poses, rels.poses), start=1):
+    for i, (prev_gt, rel) in enumerate(zip(gt, rels), start=1):
         step = pose_compose_reference(prev_gt, rel)
         R[i], t[i] = step.R, step.t
     return Trajectory(R, t, gt.k, gt.unit, gt.start)
