@@ -4,8 +4,10 @@ The branches pool a (C, H, W) map over C, W and H (a blend of max and mean
 weighted by the learnable scalars alpha and beta) into (H, W), (C, H) and
 (C, W) planes, like triplet attention's rotated branches (Misra et al., WACV
 2021).  Each plane goes through its branch's 1x3 convolution, sliding along
-W, H and C, and a sigmoid, giving a 2-D attention map.  The input is scaled
-by the mean of the three maps, each broadcast along the axis it pooled.
+W, H and C, and a sigmoid, giving a 2-D attention map; one sigmoid call
+covers all three planes, laid end to end.  The input is scaled by the mean
+of the three maps, each broadcast along the axis it pooled, summed into one
+buffer.
 """
 
 from __future__ import annotations
@@ -53,19 +55,27 @@ def attention_maps(f0: np.ndarray, params: AttentionParams) -> tuple:
     f0 = np.asarray(f0)
     if f0.ndim != 3:
         raise ShapeMismatch(f"expected a rank-3 (C,H,W) map, got shape {f0.shape}")
-    maps = []
+    raws = []
     for branch, (order, kernel_shape, pad) in enumerate(_BRANCHES):
         view = f0.transpose(order)
         pooled = params.alpha * pool_last_axis(view, "max") + params.beta * pool_last_axis(view, "avg")
         w = params.conv_w[branch].reshape(kernel_shape)
-        raw = conv2d(pooled[None, ..., 0], w, params.conv_b[branch], pad=pad)
-        maps.append(activation(raw, "sigmoid")[0])
-    return tuple(maps)
+        raws.append(conv2d(pooled[None, ..., 0], w, params.conv_b[branch], pad=pad)[0])
+    # The sigmoid is elementwise: one call over the three maps laid end to end.
+    flat = activation(np.concatenate([r.ravel() for r in raws]), "sigmoid")
+    hw, ch, cw = raws
+    a, b = hw.size, hw.size + ch.size
+    return flat[:a].reshape(hw.shape), flat[a:b].reshape(ch.shape), flat[b:].reshape(cw.shape)
 
 
 def attention_forward(f0: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Apply the three-branch attention; output shape equals input shape."""
     f0 = np.asarray(f0)
     hw, ch, cw = attention_maps(f0, params)
-    return f0 * (hw[None] + ch[:, :, None] + cw[:, None, :]) / 3.0
+    # f0 * (hw + ch + cw) / 3.0 in one buffer, in the same operation order.
+    s = hw[None] + ch[:, :, None]
+    s += cw[:, None, :]
+    s *= f0
+    s /= 3.0
+    return s
 

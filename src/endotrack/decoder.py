@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tree
 from .errors import BadChannelCount, integer
-from .kernels import activation, affine, conv2d, conv_init, layernorm
+from .kernels import _mean, activation, affine, conv2d, conv_init, layernorm
 from .se3 import PoseVec, quat_normalize
 
 GAMMA_INIT = 1e-6
@@ -96,7 +96,7 @@ def decoder_forward(f: np.ndarray, params: DecoderParams) -> PoseVec:
     x = conv2d(x, params.down_w, params.down_b, stride=2)
     for block in params.blocks:
         x = dsc_block_forward(x, block)
-    feats = x.mean(axis=(1, 2))
+    feats = _mean(x, (1, 2))
     y = affine(feats, params.head_w, params.head_b)
     return PoseVec(y[:3], quat_normalize(y[3:]))
 

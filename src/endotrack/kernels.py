@@ -4,6 +4,11 @@ and the pose decoder, and the standardization and initializer they share.
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
 (C, H, W) layout; the attention block pools them through transposed views.
+``pool_last_axis`` takes the max over short contiguous rows from a copy
+that puts the row axis first (numpy's short-row max costs about three times
+as much on the 64x64 frame's float32 attention maps), and every mean here
+is the private ``_mean``: ndarray.mean's own ``np.add.reduce`` and in-place
+divide by the count, without its Python wrapper.  Both give ndarray's bits.
 ``conv2d`` gathers without a per-tap loop: one strided view of the padded
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
@@ -21,9 +26,18 @@ from .errors import BadPermutation, ShapeMismatch, integer
 # Added to the variance before the square root in every standardization.
 EPS = 1e-6
 
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+# Per float dtype, the signed integer dtype of its width and that dtype's
+# least value, the bit pattern of -0.0.
+_BITS = {t: (np.dtype(f"i{t.itemsize}"), np.iinfo(f"i{t.itemsize}").min) for t in _FLOATS}
+# Longest rows whose max pool_last_axis takes over a leading-axis copy.  On a
+# 2-core Xeon (2 MiB L2 per core) that took 0.1-0.7x the time of numpy's row
+# max on 8-channel maps of up to 2 MiB with rows of at most 256 bytes, but
+# 2.8-6.4x on 512-byte rows.  (It also costs 1.4-3.6x on maps of 4 MiB and
+# more, which the attention block meets only on frames 4096 px tall.)
+_COPY_ROW_BYTES = 256
 # Per float dtype, the sigmoid's clip bounds: one ulp inside (0, 1).
-_SIGMOID_BOUNDS = {np.dtype(t): (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg)
-                   for t in (np.float32, np.float64)}
+_SIGMOID_BOUNDS = {t: (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg) for t in _FLOATS}
 
 
 def _pair(v, name: str, least: int) -> tuple[int, int]:
@@ -47,13 +61,42 @@ def permute(x: np.ndarray, order) -> np.ndarray:
     return np.transpose(x, order).copy()
 
 
+def _mean(x: np.ndarray, axis) -> np.ndarray:
+    """``x.mean(axis, keepdims=True)``, bit for bit: on a non-empty float32 or
+    float64 array, the same ``np.add.reduce`` and in-place divide by the
+    intp count that ndarray.mean runs, without its Python wrapper.  Other
+    dtypes and empty arrays go through ndarray.mean for its result dtype and
+    empty-slice warning."""
+    if x.size == 0 or x.dtype not in _FLOATS:
+        return x.mean(axis, keepdims=True)
+    s = np.add.reduce(x, axis, keepdims=True)
+    return np.true_divide(s, np.intp(x.size // s.size), out=s, casting="unsafe")
+
+
 def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
-    """Reduce the final axis to extent 1 by max or mean."""
+    """Reduce the final axis to extent 1 by max or mean.
+
+    The float max over short contiguous rows of a multi-axis array reduces a
+    copy with the row axis first, which skips numpy's per-row cost.  Max is exact in any order but for the sign of a zero maximum over
+    both +0.0 and -0.0, so when the input holds a -0.0 (the least integer of
+    its bit patterns), the rows whose maximum is zero are reduced again as
+    rows.
+    """
     x = np.asarray(x)
     if kind == "max":
-        return x.max(axis=-1, keepdims=True)
+        if (x.dtype not in _FLOATS or x.ndim < 2 or x.strides[-1] != x.itemsize
+                or x.shape[-1] * x.itemsize > _COPY_ROW_BYTES):
+            return x.max(axis=-1, keepdims=True)
+        c = np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
+        m = c.max(axis=0)
+        if np.count_nonzero(m) < m.size:
+            bits, neg_zero = _BITS[c.dtype]
+            if c.view(bits).min() == neg_zero:
+                zero = m == 0
+                m[zero] = x[zero].max(axis=-1)
+        return m[..., None]
     if kind == "avg":
-        return x.mean(axis=-1, keepdims=True)
+        return _mean(x, -1)
     raise ValueError(f"unknown pooling kind {kind!r}")
 
 
@@ -120,8 +163,8 @@ def standardize(x: np.ndarray, axis) -> np.ndarray:
     """Zero mean, unit variance over ``axis``: (x - mean) / sqrt(var + EPS)."""
     # An integer x comes out float64, the dtype of its mean.
     x = np.asarray(x)
-    d = x - x.mean(axis, keepdims=True)
-    d /= np.sqrt(np.square(d).mean(axis, keepdims=True) + EPS)
+    d = x - _mean(x, axis)
+    d /= np.sqrt(_mean(np.square(d), axis) + EPS)
     return d
 
 

@@ -14,7 +14,10 @@ Conventions, fixed once for the whole package:
   R (..., 3, 3), t (..., 3)); each row of a stack comes out bit for bit as alone.
 * ``pose_compose`` of two single poses multiplies with ``dot`` and tests
   R'R's drift on Python floats; stacks and broadcasts use ``@``,
-  ``matvec`` and one array test.  Both routes round alike, so that promise holds.
+  ``matvec`` and one array test.  ``quat_to_rotmat`` of one quaternion
+  likewise evaluates its expressions on Python floats, and
+  ``quat_normalize`` of one skips the array tests.  Both routes round
+  alike, so that promise holds.
 * ``Pose(...)`` converts and checks its arrays.  The private ``_pose`` skips
   both and may only wrap arrays that are already float64 with R (..., 3, 3)
   and t (..., 3) over the same leading axes: ``pose_compose``'s own results
@@ -113,6 +116,12 @@ def quat_normalize(q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     n = vec_norm(q)
+    if q.ndim == 1:
+        # One quaternion: the same operations without the array tests.
+        if n <= 1e-12:
+            raise ZeroQuaternion(f"quaternion norm {n} too small to normalize", ())
+        q = q / n
+        return -q if q[0] < 0.0 else q
     small = n <= 1e-12
     if small.any():
         index = tuple(int(i) for i in np.argwhere(small)[0])
@@ -138,12 +147,17 @@ def quat_log(q) -> np.ndarray:
 
 def quat_to_rotmat(q) -> np.ndarray:
     """Unit quaternion to rotation matrix (Hamilton convention)."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return _matrices_last(np.array([
+    q = np.asarray(q, dtype=float)
+    # One quaternion's components are Python floats, which round alike and
+    # cost less than numpy scalars.
+    one = q.shape == (4,)
+    w, x, y, z = q.tolist() if one else q.T
+    M = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ]))
+    ])
+    return M if one else _matrices_last(M)
 
 
 def rotmat_to_quat(R) -> np.ndarray:

@@ -63,10 +63,15 @@ class Trajectory:
     def __getitem__(self, i):
         """Row i as a Pose around views of R and t, built when it is read; a
         slice as the Trajectory of its rows at their own frames, so a step of
-        s is stride k * s and a negative step raises ShapeMismatch."""
+        s is stride k * s and a negative step raises ShapeMismatch.  A slice
+        skips the constructor's checks, which its rows have passed."""
         if isinstance(i, slice):
             fr = self.frames[i]
-            return Trajectory(self.R[i], self.t[i], fr.step, self.unit, fr.start)
+            # Built as se3._pose builds a Pose: the rows are float64 already.
+            part = object.__new__(Trajectory)
+            part.__dict__.update(R=np.ascontiguousarray(self.R[i]), t=np.ascontiguousarray(self.t[i]),
+                                 k=integer(fr.step, "stride k", 1), unit=self.unit, start=fr.start)
+            return part
         # An integer only: an array index would stack rows.
         i = operator.index(i)
         return _pose(self.R[i], self.t[i], self.unit)

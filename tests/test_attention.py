@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import endotrack as et
-from endotrack import tree
-from endotrack.attention import attention_maps
+from endotrack import attention, kernels, tree
+from endotrack.attention import _BRANCHES, attention_maps
 from endotrack.errors import ShapeMismatch
 from endotrack.checks import finite_diff_grad
 
@@ -137,6 +137,42 @@ class TestMatchesPermuteOracle:
         out = et.attention_forward(x, p)
         assert out.dtype == np.float64
         assert np.max(np.abs(out - oracle_chw(x, p))) <= 1e-12
+
+
+class TestOneSigmoid:
+    """attention_maps runs one sigmoid over the three raw maps laid end to end;
+    each map equals, byte for byte, its own branch's sigmoid."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 5, 7), (1, 1, 1)])
+    def test_each_map_is_its_branch_sigmoid(self, rng, dtype, shape):
+        p = tree.astype(et.attention_init(6), dtype)
+        # Large values saturate some entries of each map.
+        f0 = (40.0 * rng.standard_normal(shape)).astype(dtype)
+        maps = attention_maps(f0, p)
+        for branch, (order, kernel_shape, pad) in enumerate(_BRANCHES):
+            view = f0.transpose(order)
+            pooled = (p.alpha * kernels.pool_last_axis(view, "max")
+                      + p.beta * kernels.pool_last_axis(view, "avg"))
+            raw = kernels.conv2d(pooled[None, ..., 0], p.conv_w[branch].reshape(kernel_shape),
+                                 p.conv_b[branch], pad=pad)
+            want = kernels.activation(raw, "sigmoid")[0]
+            assert maps[branch].dtype == want.dtype and maps[branch].shape == want.shape
+            assert maps[branch].tobytes() == want.tobytes()
+
+    def test_one_activation_call_per_block(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(attention, "activation", lambda x, kind: calls.append(kind) or kernels.activation(x, kind))
+        et.attention_forward(rng.standard_normal((4, 5, 6)), et.attention_init(0))
+        assert calls == ["sigmoid"]
+
+    def test_forward_is_input_times_mean_map(self, rng):
+        p = et.attention_init(2)
+        f0 = rng.standard_normal((4, 5, 6)).astype(np.float32)
+        hw, ch, cw = attention_maps(f0, p)
+        want = f0 * (hw[None] + ch[:, :, None] + cw[:, None, :]) / 3.0
+        got = et.attention_forward(f0, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

@@ -4,6 +4,7 @@ conv2d, standardize, the sigmoid and pooling are also pinned bit for bit
 to the step-by-step formulas written here."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def assert_same_bits(a, b):
     assert np.array_equal(a, b, equal_nan=True)
 
 
+def assert_same_bytes(a, b):
+    """Same dtype, shape and bytes: tells +0.0 from -0.0, unlike assert_same_bits."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def signed_zero_map(rng, shape, dtype):
+    """Mostly +0.0 and -0.0, so that many rows have a zero maximum over both
+    signs; a few rows are NaN along each branch's pooled axis."""
+    x = rng.choice(np.array([0.0, -0.0, -1.0, 1.0], dtype), size=shape, p=[0.45, 0.45, 0.05, 0.05])
+    x[0, 1, :] = np.nan
+    x[1, :, 2] = np.nan
+    x[:, 0, 0] = np.nan
+    return x
+
+
 def loop_layernorm(x, gamma, beta, eps):
     c, h, w = x.shape
     out = np.empty_like(x)
@@ -184,6 +201,52 @@ class TestPool:
     def test_integer_mean_is_float64(self):
         out = kernels.pool_last_axis(np.array([[1, 2], [3, 6]]), "avg")
         assert_same_bits(out, np.array([[1.5], [4.5]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (8, 33, 33), (4, 17, 9), (2, 3, 70), (8, 600, 16)])
+    def test_branch_views_same_bytes_with_signed_zeros_and_nan(self, rng, dtype, shape):
+        # Rows of 9, 17 and 33 end just past a SIMD block, where numpy's row
+        # max and a max over a leading-axis copy give a zero maximum different
+        # signs.  Rows of 70 take numpy's row max; the 8x600x16 map's rows of
+        # 16 take the copy route at 300 and 600 KiB.
+        for f0 in (signed_zero_map(rng, shape, dtype), rng.standard_normal(shape).astype(dtype),
+                   np.maximum(rng.standard_normal(shape).astype(dtype), 0)):
+            for order in ((1, 2, 0), (0, 1, 2), (0, 2, 1)):
+                view = f0.transpose(order)
+                assert_same_bytes(kernels.pool_last_axis(view, "max"), view.max(axis=-1, keepdims=True))
+                assert_same_bytes(kernels.pool_last_axis(view, "avg"), view.mean(axis=-1, keepdims=True))
+
+
+class TestMean:
+    """kernels._mean is ndarray.mean(axis, keepdims=True), byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_matches_ndarray_mean(self, rng, dtype):
+        base = (3.0 * rng.standard_normal((8, 33, 33)) + 1.0).astype(dtype)
+        for x in (base, base.transpose(1, 2, 0), base[:, ::2, 1:], signed_zero_map(rng, (3, 5, 7), dtype)):
+            for axis in (0, -1, (1, 2), (0, 1, 2)):
+                assert_same_bytes(kernels._mean(x, axis), x.mean(axis, keepdims=True))
+
+    def test_integer_and_bool_are_float64(self):
+        for x in (np.arange(24).reshape(2, 3, 4), np.arange(24, dtype=np.uint8).reshape(2, 3, 4),
+                  np.arange(24).reshape(2, 3, 4) % 3 == 0):
+            for axis in (0, (1, 2)):
+                out = kernels._mean(x, axis)
+                assert out.dtype == np.float64
+                assert_same_bytes(out, x.mean(axis, keepdims=True))
+
+    def test_empty_matches_with_the_same_warnings(self):
+        # A zero count (reducing an empty axis) warns "Mean of empty slice" and gives NaN.
+        for shape, axis in (((0, 3, 3), (1, 2)), ((2, 0, 3), 0), ((2, 0, 3), 1), ((0, 4), -1)):
+            x = np.zeros(shape, np.float32)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = x.mean(axis, keepdims=True)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = kernels._mean(x, axis)
+            assert_same_bytes(got, want)
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
 
 
 class TestConv2d:

@@ -582,6 +582,31 @@ class TestBroadcasting:
                                                    for a, g in zip(axis, angle)]))
         assert np.array_equal(rodrigues[0], np.eye(3))
 
+    def test_single_quaternion_routes_same_bytes(self, rng):
+        # One quaternion runs quat_normalize and quat_to_rotmat on Python
+        # floats; each row of the stack route must come out byte for byte alike.
+        h = math.sqrt(0.5)
+        special = [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                   [0, 0, -1, 0], [0, h, h, 0], [0, -h, 0, h], [-0.0, 1, -0.0, 0],
+                   [1, -0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -1], [0.5, -0.5, -0.0, 0.5],
+                   [-0.0, h, -h, -0.0], [2.0, -0.0, 0, 0], [np.nan, 0, 0, 1]]
+        q = np.concatenate([np.array(special, dtype=float), rng.standard_normal((2000, 4))])
+        for fn in (et.quat_normalize, et.quat_to_rotmat):
+            stacked = fn(q)
+            for i, row in enumerate(q):
+                one = fn(row)
+                assert one.dtype == stacked.dtype and one.shape == stacked.shape[1:], fn.__name__
+                assert one.tobytes() == stacked[i].tobytes(), (fn.__name__, row)
+        unit = et.quat_normalize(q[:-1])
+        R = et.quat_to_rotmat(unit)
+        for i, row in enumerate(unit):
+            assert et.quat_to_rotmat(row).tobytes() == R[i].tobytes()
+
+    def test_single_zero_quaternion_index(self):
+        with pytest.raises(ZeroQuaternion, match="norm 0.0 too small") as info:
+            et.quat_normalize([0.0, -0.0, 0.0, 0.0])
+        assert info.value.index == ()
+
     def test_vec_norm_matches_1d_norm(self, rng):
         for v in (rng.standard_normal((500, 3)), rng.standard_normal((500, 4)),
                   rng.standard_normal((500, 7))[:, 3:6]):
