@@ -13,6 +13,9 @@ divide by the count, without its Python wrapper.  Both give ndarray's bits.
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
 index table), and one copy of it is the operand of a single matmul.
+Plain ints, int pairs and an x and w of one dtype take its short route
+of exact type tests; every other input still goes through ``_pair``,
+``integer`` and ``np.result_type``, with the same refusals.
 Every kernel here is pure and deterministic; ``conv_init`` draws from the
 generator it is given.
 """
@@ -42,6 +45,13 @@ _SIGMOID_BOUNDS = {t: (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg) for t in _FLO
 
 def _pair(v, name: str, least: int) -> tuple[int, int]:
     """One integer >= ``least`` for both axes, or a pair of them; else ShapeMismatch naming ``name``."""
+    # Exact type tests settle a plain int or a tuple of two (never a bool) at once.
+    if type(v) is int and v >= least:
+        return v, v
+    if type(v) is tuple and len(v) == 2:
+        a, b = v
+        if type(a) is int and type(b) is int and a >= least and b >= least:
+            return v
     if not isinstance(v, (tuple, list, np.ndarray)):
         v = integer(v, name, least)
         return v, v
@@ -64,13 +74,21 @@ def permute(x: np.ndarray, order) -> np.ndarray:
 def _mean(x: np.ndarray, axis) -> np.ndarray:
     """``x.mean(axis, keepdims=True)``, bit for bit: on a non-empty float32 or
     float64 array, the same ``np.add.reduce`` and in-place divide by the
-    intp count that ndarray.mean runs, without its Python wrapper.  Other
-    dtypes and empty arrays go through ndarray.mean for its result dtype and
-    empty-slice warning."""
+    count that ndarray.mean runs, without its Python wrapper.  Other dtypes
+    and empty arrays go through ndarray.mean for its result dtype and
+    empty-slice warning.
+
+    ndarray.mean divides by an ``np.intp`` count, which sends float32 through
+    the float64 loop.  A count of at most 2**24, which float32 holds exactly,
+    divides as a plain int in the array's own loop instead: a float32
+    quotient rounded once equals one rounded through float64, since 53 >=
+    2*24 + 2 bits.  Larger counts stay ``np.intp``.
+    """
     if x.size == 0 or x.dtype not in _FLOATS:
         return x.mean(axis, keepdims=True)
     s = np.add.reduce(x, axis, keepdims=True)
-    return np.true_divide(s, np.intp(x.size // s.size), out=s, casting="unsafe")
+    n = x.size // s.size
+    return np.true_divide(s, n if n <= 2**24 else np.intp(n), out=s, casting="unsafe")
 
 
 def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
@@ -113,15 +131,22 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     x: (C_in, H, W); w: (C_out, C_in/groups, kh, kw); b: (C_out,) or None.
     stride (>= 1) and pad (>= 0) are an integer or a (rows, columns) pair of
     integers, groups (>= 1) an integer.  Output spatial extent is
-    floor((H + 2*pad - kh)/stride) + 1.
+    floor((H + 2*pad - kh)/stride) + 1.  Plain ints, tuples of two plain
+    ints and an x and w of one dtype take a short route of exact type
+    tests; any other argument goes through ``_pair``, ``integer`` and
+    ``np.result_type``.  Both routes refuse the same inputs with the same
+    messages.
     """
-    x = np.asarray(x)
-    w = np.asarray(w)
+    if type(x) is not np.ndarray:
+        x = np.asarray(x)
+    if type(w) is not np.ndarray:
+        w = np.asarray(w)
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeMismatch(f"conv2d expects (C,H,W) input and 4-D weights, got {x.shape}, {w.shape}")
     c_in, h, wd = x.shape
     c_out, c_per_g, kh, kw = w.shape
-    groups = integer(groups, "groups", 1)
+    if type(groups) is not int or groups < 1:
+        groups = integer(groups, "groups", 1)
     if c_in % groups or c_out % groups:
         raise ShapeMismatch(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
     if c_per_g != c_in // groups:
@@ -133,7 +158,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     if h_out < 1 or w_out < 1:
         raise ShapeMismatch(f"kernel {kh}x{kw} exceeds padded input {h + 2 * ph}x{wd + 2 * pw}")
 
-    dtype = np.result_type(x, w)
+    if w.dtype == x.dtype:
+        dtype = x.dtype
+    else:
+        dtype = np.result_type(x, w)
+        w = w.astype(dtype, copy=False)
     if ph or pw:
         xp = np.zeros((c_in, h + 2 * ph, wd + 2 * pw), dtype=dtype)
         xp[:, ph:ph + h, pw:pw + wd] = x
@@ -143,19 +172,26 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     # input, whose tap axes step one row/column and whose output axes step a
     # stride (numpy refuses it if it reaches outside xp), copied once into a
     # C-contiguous buffer; then one (groups, C_out/g, K) @ (groups, K,
-    # H_out*W_out) matmul.  The copy is what keeps the bits: reshaping the
-    # view itself can hand matmul an operand whose rows overlap.
+    # H_out*W_out) matmul, a 2-D one for a single group.  The copy is what
+    # keeps the bits: reshaping the view itself can hand matmul an operand
+    # whose rows overlap.
     s0, s1, s2 = xp.strides
     taps = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, xp, 0, (s0, s1, s2, s1 * sh, s2 * sw))
     cols = np.ascontiguousarray(taps)
     k = c_per_g * kh * kw
-    out = w.astype(dtype, copy=False).reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
+    if groups == 1:
+        out = w.reshape(c_out, k) @ cols.reshape(k, -1)
+    else:
+        out = w.reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
     out = out.reshape(c_out, h_out, w_out)
     if b is not None:
-        b = np.asarray(b)
+        if type(b) is not np.ndarray:
+            b = np.asarray(b)
         if b.shape != (c_out,):
             raise ShapeMismatch(f"bias must have shape ({c_out},), got {b.shape}")
-        out += b[:, None, None].astype(dtype, copy=False)
+        if b.dtype != dtype:
+            b = b.astype(dtype)
+        out += b[:, None, None]
     return out
 
 

@@ -67,6 +67,17 @@ def test_below_lower_bound_refused(name):
         call(np.int64(least - 1))
 
 
+@pytest.mark.parametrize("name", ["stride", "pad", "groups"])
+def test_plain_int_below_lower_bound_refused(name):
+    # conv2d settles a plain int by its exact type; one below the bound
+    # still gets integer's refusal.
+    call, _ = CALLS[name]
+    least = LEAST[name]
+    message = rf"^{re.escape(name)} must be an integer >= {least}, got {least - 1}$"
+    with pytest.raises(ShapeMismatch, match=message):
+        call(least - 1)
+
+
 def test_cases_that_used_to_pass_silently():
     with pytest.raises(ShapeMismatch, match="^steps must be an integer >= 0"):
         et.descend_loss_weights(0.5, 0.05, steps=-1)

@@ -4,6 +4,7 @@ conv2d, standardize, the sigmoid and pooling are also pinned bit for bit
 to the step-by-step formulas written here."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -227,6 +228,22 @@ class TestMean:
             for axis in (0, -1, (1, 2), (0, 1, 2)):
                 assert_same_bytes(kernels._mean(x, axis), x.mean(axis, keepdims=True))
 
+    def test_float32_quotients_match_ndarray_mean(self, rng):
+        # Each row sums to its first entry, a random finite float32 bit
+        # pattern (subnormals and both zeros included), so every count
+        # divides a spread of sums; ndarray.mean divides them in float64.
+        first = rng.integers(0, 2**32, 4096, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        first = first[np.isfinite(first)]
+        for n in (3, 7, 10, 49, 641):
+            x = np.zeros((first.size, n), np.float32)
+            x[:, 0] = first
+            assert_same_bytes(kernels._mean(x, -1), x.mean(-1, keepdims=True))
+
+    def test_count_float32_cannot_hold(self):
+        # 2**24 + 3 rounds to 2**24 + 4 as a float32; a broadcast view keeps the array small.
+        x = np.broadcast_to((np.arange(8, dtype=np.float32) * 0.37 + 0.1)[:, None], (8, 2**24 + 3))
+        assert_same_bytes(kernels._mean(x, -1), x.mean(-1, keepdims=True))
+
     def test_integer_and_bool_are_float64(self):
         for x in (np.arange(24).reshape(2, 3, 4), np.arange(24, dtype=np.uint8).reshape(2, 3, 4),
                   np.arange(24).reshape(2, 3, 4) % 3 == 0):
@@ -326,6 +343,43 @@ class TestConv2d:
         for stride, pad in ((np.int64(2), np.int32(1)), ([2, 2], (1, 1)), (np.array([2, 2]), 1)):
             assert_same_bits(kernels.conv2d(x, w, stride=stride, pad=pad), expect)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"stride": (True, 1)}, "stride must be an integer, got True"),
+        ({"stride": (2, 1.0)}, "stride must be an integer, got 1.0"),
+        ({"stride": (np.int64(0), 1)}, "stride must be an integer >= 1, got 0"),
+        ({"pad": (1, np.int64(-1))}, "pad must be an integer >= 0, got -1"),
+        ({"pad": (-1, 0)}, "pad must be an integer >= 0, got -1"),
+        ({"stride": (1, 1, 1)}, "stride must be an integer or a pair of them, got (1, 1, 1)"),
+        ({"pad": (1,)}, "pad must be an integer or a pair of them, got (1,)"),
+        ({"stride": [2, 0]}, "stride must be an integer >= 1, got 0"),
+        ({"pad": [0, -2]}, "pad must be an integer >= 0, got -2"),
+    ], ids=repr)
+    def test_bad_pairs_refused_with_their_message(self, rng, kw, message):
+        # Only a tuple of two plain ints within bound skips _pair's general branch.
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            kernels.conv2d(rng.standard_normal((2, 6, 6)), rng.standard_normal((2, 2, 3, 3)), **kw)
+
+    def test_int_pair_types_same_bits(self, rng):
+        # Rows and columns differ, so a pair read in the wrong order shows.
+        x = rng.standard_normal((2, 9, 8))
+        w = rng.standard_normal((2, 2, 3, 2))
+        expect = kernels.conv2d(x, w, stride=(2, 1), pad=(1, 0))
+        for stride, pad in (((np.int64(2), np.int64(1)), (np.int64(1), np.int64(0))), ([2, 1], [1, 0])):
+            assert_same_bits(kernels.conv2d(x, w, stride=stride, pad=pad), expect)
+
+    @pytest.mark.parametrize("size", [16, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_path_arguments_take_the_short_route(self, size, dtype):
+        """Every frame-path call passes plain ints or tuples of them and x, w
+        and b as arrays of the frame's dtype, so none of them pays for
+        ``_pair``'s general branch, ``integer`` or ``np.result_type``."""
+        for x, w, b, kw in frame_conv_calls(size, dtype):
+            for name, v in kw.items():
+                assert type(v) is int or (type(v) is tuple and len(v) == 2
+                                          and type(v[0]) is type(v[1]) is int), (name, v)
+            assert type(x) is type(w) is type(b) is np.ndarray
+            assert x.dtype == w.dtype == b.dtype == np.dtype(dtype)
+
 
 class TestConvBitExact:
     """conv2d against the per-tap gather oracle, bit for bit."""
@@ -359,6 +413,29 @@ class TestConvBitExact:
             out = kernels.conv2d(x, w, b, pad=pad, groups=3)
             assert out.dtype == np.float64
             assert_same_bits(out, gather_conv2d(x, w, b, pad=pad, groups=3))
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_mixed_dtypes_and_lists(self, rng, groups):
+        # Mixed dtypes and lists fall off the short route: the dtype comes
+        # from np.result_type and the weight or bias is cast to it.
+        x = rng.standard_normal((6, 9, 8)).astype(np.float32)
+        w64 = rng.standard_normal((6, 6 // groups, 3, 2))
+        w = w64.astype(np.float32)
+        b64 = rng.standard_normal(6)
+        b = b64.astype(np.float32)
+        cases = [
+            (x, w64, b64, np.float64),
+            (x, w, b64, np.float32),
+            (x, w, b64.tolist(), np.float32),
+            (x.tolist(), w, b, np.float64),
+            # One dtype, byte-swapped, stays on it; matmul returns native float32.
+            (x.astype(">f4"), w.astype(">f4"), b, np.float32),
+        ]
+        for xi, wi, bi, out_dtype in cases:
+            for pad in (0, (1, 2)):
+                out = kernels.conv2d(xi, wi, bi, pad=pad, groups=groups)
+                assert out.dtype == np.dtype(out_dtype)
+                assert_same_bits(out, gather_conv2d(xi, wi, bi, pad=pad, groups=groups))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_3x1_kernel(self, rng, dtype):
