@@ -13,9 +13,9 @@ divide by the count, without its Python wrapper.  Both give ndarray's bits.
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
 index table), and one copy of it is the operand of a single matmul.
-Plain ints, int pairs and an x and w of one dtype take its short route
-of exact type tests; every other input still goes through ``_pair``,
-``integer`` and ``np.result_type``, with the same refusals.
+In ``conv2d``, plain ints, int pairs and an x and w of one dtype take a
+short route of exact type tests; every other input still goes through
+``_pair``, ``integer`` and ``np.result_type``, with the same refusals.
 Every kernel here is pure and deterministic; ``conv_init`` draws from the
 generator it is given.
 """
