@@ -10,8 +10,11 @@ that copy ("parent") and in the working tree ("change"), one pair per seed
 change.  After every run it rewrites ``--out``
 with every run so far and, for each workload and each end-to-end metric named
 in ``BENCHMARK.json``, both sides' quartiles, the pairs the change won, the
-relative change of the medians and the median of the per-pair ratios (change
-over parent), which cancels load that both runs of a pair share.  Nothing
+relative change of the medians, the median of the per-pair ratios (change
+over parent), which cancels load that both runs of a pair share, and the
+parent's quartile spread with whether the medians differ by more than it.
+A gain may be claimed when the change wins at least nine pairs of ten and
+that gap exceeds the spread.  Nothing
 under ``perfbench/`` is imported or written to, apart from the results
 perfbench writes itself.
 Needs a Python whose ``tarfile`` has extraction filters (3.10.12, 3.11.4,
@@ -75,8 +78,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             base = statistics.median(values["parent"])
             rel = (statistics.median(values["change"]) - base) / base
             ratio = statistics.median(c / p for p, c in zip(values["parent"], values["change"]))
+            iqr = stats["parent"]["q75"] - stats["parent"]["q25"]
+            gap = abs(stats["change"]["median"] - stats["parent"]["median"])
             entry[m["name"]] = {**stats, "change_better_pairs": wins, "median_change_rel": round(rel, 3),
-                                "median_pair_ratio": round(ratio, 4)}
+                                "median_pair_ratio": round(ratio, 4), "parent_iqr": round(iqr, 4),
+                                "gap_exceeds_parent_iqr": gap > iqr}
         summary[workload] = entry
     return summary
 

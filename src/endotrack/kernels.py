@@ -12,7 +12,11 @@ divide by the count, without its Python wrapper.  Both give ndarray's bits.
 ``conv2d`` gathers without a per-tap loop: one strided view of the padded
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
-index table), and one copy of it is the operand of a single matmul.
+index table), and one copy of it is the operand of a single matmul.  When
+that copy would move many short rows (``_two_stage``: stride 1 along rows,
+a kernel at least 3 tall and 2 wide, short output rows), it builds the same
+operand in two copies of such views: first the kw column shifts, then the
+kh row shifts of that buffer, each a run of H_out*W_out.
 In ``conv2d``, plain ints, int pairs and an x and w of one dtype take a
 short route of exact type tests; every other input still goes through
 ``_pair``, ``integer`` and ``np.result_type``, with the same refusals.
@@ -39,6 +43,13 @@ _BITS = {t: (np.dtype(f"i{t.itemsize}"), np.iinfo(f"i{t.itemsize}").min) for t i
 # 2.8-6.4x on 512-byte rows.  (It also costs 1.4-3.6x on maps of 4 MiB and
 # more, which the attention block meets only on frames 4096 px tall.)
 _COPY_ROW_BYTES = 256
+# Longest output rows (W_out * itemsize) that conv2d gathers in two copies.
+# Timing the gather alone on a 2-core Xeon, two copies took, against one,
+# 0.47-0.86x on rows of 32-128 bytes, 0.73-1.00x on 192-byte rows and
+# 0.93-1.16x on 256-byte rows (3x3 and 7x7 kernels, 8 or 12 channels, 16-64
+# output rows, both float dtypes); 3x3 kernels on 160-wide float32 rows took
+# 1.3x.
+_TWO_STAGE_ROW_BYTES = 192
 # Per float dtype, the sigmoid's clip bounds: one ulp inside (0, 1).
 _SIGMOID_BOUNDS = {t: (np.finfo(t).tiny, 1.0 - np.finfo(t).epsneg) for t in _FLOATS}
 
@@ -95,10 +106,10 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     """Reduce the final axis to extent 1 by max or mean.
 
     The float max over short contiguous rows of a multi-axis array reduces a
-    copy with the row axis first, which skips numpy's per-row cost.  Max is exact in any order but for the sign of a zero maximum over
-    both +0.0 and -0.0, so when the input holds a -0.0 (the least integer of
-    its bit patterns), the rows whose maximum is zero are reduced again as
-    rows.
+    copy with the row axis first, which skips numpy's per-row cost.  Max is
+    exact in any order but for the sign of a zero maximum over both +0.0 and
+    -0.0, so when the input holds a -0.0 (the least integer of its bit
+    patterns), the rows whose maximum is zero are reduced again as rows.
     """
     x = np.asarray(x)
     if kind == "max":
@@ -116,6 +127,23 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "avg":
         return _mean(x, -1)
     raise ValueError(f"unknown pooling kind {kind!r}")
+
+
+def _two_stage(kh: int, kw: int, sh: int, h_out: int, row_bytes: int) -> bool:
+    """Whether conv2d builds its operand in two copies instead of one.
+
+    The row shifts of the column-shift buffer are runs of H_out*W_out only
+    at stride 1 along rows, and a one-column kernel's single copy already
+    moves such runs.  Past ``_TWO_STAGE_ROW_BYTES`` a row costs more in
+    bytes than in per-run overhead, and the two copies must make at most
+    half the runs of one: kw*(H_p + kh) against kh*kw*H_out per channel,
+    with H_p = H_out + kh - 1.  No kernel under 3 rows tall meets that, and
+    the 7x7 kernel needs 6 output rows (the decoder's 2 rows of a 16x16
+    frame took 1.14x the time in two copies, its 8 rows of a 64x64 frame
+    0.52x).
+    """
+    return (sh == 1 and kw > 1 and row_bytes <= _TWO_STAGE_ROW_BYTES
+            and 2 * (h_out + 2 * kh - 1) <= kh * h_out)
 
 
 def conv_init(rng, c_out: int, c_in: int, kh: int, kw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,14 +198,23 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         xp = np.ascontiguousarray(x, dtype=dtype)
     # Gathered im2col: one (C_in, kh, kw, H_out, W_out) view of the padded
     # input, whose tap axes step one row/column and whose output axes step a
-    # stride (numpy refuses it if it reaches outside xp), copied once into a
+    # stride (numpy refuses it if it reaches outside xp), copied into a
     # C-contiguous buffer; then one (groups, C_out/g, K) @ (groups, K,
     # H_out*W_out) matmul, a 2-D one for a single group.  The copy is what
     # keeps the bits: reshaping the view itself can hand matmul an operand
-    # whose rows overlap.
+    # whose rows overlap.  One copy moves C_in*kh*kw*H_out rows of W_out.
+    # Two copies build the same buffer from C_in*kw*H_p such rows and
+    # C_in*kh*kw runs of H_out*W_out: first the (C_in, kw, H_p, W_out)
+    # column shifts, then that buffer's row shifts, each (c, i, j) block of
+    # which is H_out consecutive rows of one column shift.
     s0, s1, s2 = xp.strides
-    taps = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, xp, 0, (s0, s1, s2, s1 * sh, s2 * sw))
-    cols = np.ascontiguousarray(taps)
+    if _two_stage(kh, kw, sh, h_out, w_out * xp.itemsize):
+        shifts = np.ndarray((c_in, kw, xp.shape[1], w_out), dtype, xp, 0, (s0, s2, s1, s2 * sw)).copy()
+        t0, t1, t2, t3 = shifts.strides
+        cols = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, shifts, 0, (t0, t2, t1, t2, t3)).copy()
+    else:
+        taps = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, xp, 0, (s0, s1, s2, s1 * sh, s2 * sw))
+        cols = np.ascontiguousarray(taps)
     k = c_per_g * kh * kw
     if groups == 1:
         out = w.reshape(c_out, k) @ cols.reshape(k, -1)

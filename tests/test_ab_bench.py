@@ -63,6 +63,25 @@ def test_median_of_per_pair_ratios():
     assert v["step_ms_best"]["median_pair_ratio"] == 0.5 and v["fps"]["median_pair_ratio"] == 1.0
 
 
+def test_parent_spread_and_gap():
+    w = ab_bench.summarize(runs(), METRICS)["w"]["step_ms_best"]
+    # Parent quartiles 10 and 12; the medians 11 and 8 differ by 3 > 2.
+    assert w["parent_iqr"] == 2.0 and w["gap_exceeds_parent_iqr"] is True
+    # A gap equal to the spread does not exceed it, whichever side is lower.
+    for change in ([9.0, 12.0, 9.0, 15.0, 8.0], [13.0, 14.0, 13.0, 15.0, 9.0]):
+        rows = []
+        for pair, (p, c) in enumerate(zip(PARENT_STEP, change), start=1):
+            rows += [row("u", pair, "parent", p, 1.0), row("u", pair, "change", c, 1.0)]
+        u = ab_bench.summarize(rows, METRICS)["u"]["step_ms_best"]
+        assert u["parent_iqr"] == 2.0
+        assert abs(u["change"]["median"] - u["parent"]["median"]) == 2.0
+        assert u["gap_exceeds_parent_iqr"] is False
+    # One pair: no spread, so any gap exceeds it and none does not.
+    v = ab_bench.summarize(runs(), METRICS)["v"]
+    assert v["step_ms_best"]["parent_iqr"] == 0.0 and v["step_ms_best"]["gap_exceeds_parent_iqr"] is True
+    assert v["fps"]["parent_iqr"] == 0.0 and v["fps"]["gap_exceeds_parent_iqr"] is False
+
+
 def test_pairs_correctness_and_failures():
     summary = ab_bench.summarize(runs(), METRICS)
     assert list(summary) == ["w", "v"]

@@ -56,8 +56,10 @@ def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
 
 def gather_conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """The per-tap gather: each of the kh*kw strided taps copied into one
-    (C_in, kh, kw, H_out, W_out) buffer, then the same (groups, C_out/g, K) @
-    (groups, K, H_out*W_out) matmul as conv2d, so their bits must agree."""
+    (C_in, kh, kw, H_out, W_out) buffer, then a batched (groups, C_out/g, K)
+    @ (groups, K, H_out*W_out) matmul for every group count.  conv2d runs a
+    2-D matmul for one group and may build its buffer in two copies; its
+    bits must match this form's all the same."""
     x, w = np.asarray(x), np.asarray(w)
     c_in, h, wd = x.shape
     c_out, c_per_g, kh, kw = w.shape
@@ -436,6 +438,57 @@ class TestConvBitExact:
                 out = kernels.conv2d(xi, wi, bi, pad=pad, groups=groups)
                 assert out.dtype == np.dtype(out_dtype)
                 assert_same_bits(out, gather_conv2d(xi, wi, bi, pad=pad, groups=groups))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout, values", [
+        ("contiguous", "normal"), ("non-contiguous", "normal"), ("read-only", "normal"),
+        ("negative-stride", "normal"), ("contiguous", "signed-zeros-nan")])
+    def test_two_stage_condition_sweep(self, rng, dtype, layout, values):
+        # Both sides of kernels._two_stage: kernels 1, 2, 3 and 7 each way,
+        # every stride and pad pairing, output rows just under, at and just
+        # over the row bound, and 5 or 10 output rows (too few and enough
+        # runs saved for 3x3 and 7x7 kernels).
+        itemsize = np.dtype(dtype).itemsize
+        bound = kernels._TWO_STAGE_ROW_BYTES // itemsize
+        taken = set()
+        for kh in (1, 2, 3, 7):
+            for kw in (1, 2, 3, 7):
+                for stride in (1, (1, 2), (2, 1), 2):
+                    sh, sw = (stride, stride) if type(stride) is int else stride
+                    for pad in (0, 3, (1, 0), (0, 2)):
+                        ph, pw = (pad, pad) if type(pad) is int else pad
+                        for h_out in (5, 10):
+                            for w_out in (bound - 1, bound, bound + 1):
+                                h = max((h_out - 1) * sh + kh - 2 * ph, 1)
+                                w = (w_out - 1) * sw + kw - 2 * pw
+                                for groups in (1, 3):
+                                    x = self._sweep_input(rng, (6, h, w), dtype, layout, values)
+                                    wts = rng.standard_normal((6, 6 // groups, kh, kw)).astype(dtype)
+                                    b = rng.standard_normal(6).astype(dtype)
+                                    kw_args = dict(stride=stride, pad=pad, groups=groups)
+                                    out = kernels.conv2d(x, wts, b, **kw_args)
+                                    assert_same_bytes(out, gather_conv2d(x, wts, b, **kw_args))
+                                    assert out.shape[2] == w_out
+                                    two = kernels._two_stage(kh, kw, sh, out.shape[1], w_out * itemsize)
+                                    taken.add((two, w_out - bound))
+        # Two copies under and at the bound, one copy over it, and one copy
+        # on each side of the bound too.
+        assert taken == {(True, -1), (True, 0), (False, -1), (False, 0), (False, 1)}
+
+    @staticmethod
+    def _sweep_input(rng, shape, dtype, layout, values):
+        if values == "normal":
+            a = rng.standard_normal(shape).astype(dtype)
+        else:
+            a = rng.choice(np.array([0.0, -0.0, 1.0, -1.0], dtype), size=shape, p=[0.45, 0.45, 0.05, 0.05])
+            a[0, -1, -1] = np.nan
+        if layout == "non-contiguous":
+            a = np.ascontiguousarray(a.transpose(2, 1, 0)).transpose(2, 1, 0)
+        elif layout == "read-only":
+            a.flags.writeable = False
+        elif layout == "negative-stride":
+            a = a[:, ::-1, ::-1].copy()[:, ::-1, ::-1]
+        return a
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_attention_3x1_kernel(self, rng, dtype):
