@@ -9,19 +9,27 @@ The files under tests/golden/ were written by this sequence of commands:
     endotrack eval gt.txt est-chained.txt --out report-chained.txt
     endotrack eval gt.txt est-rebased.txt --out report-rebased.txt
 
-The frame files frames-16-f32.txt and frames-16-f64.txt hold one
-line per frame: the repr (shortest round-trip digits) of R and t of the
-pose chained from seeded 16x16 frame pairs through pipeline_forward,
-decoder_forward, pose_from_vec and pose_compose, so they pin every bit of
-the frame path.
+The frame files frames-<size>-<dtype>.txt (sizes 16 and 64, dtypes f32
+and f64) hold one line per frame: the repr (shortest round-trip digits) of
+R and t of the pose chained from seeded size x size frame pairs through
+pipeline_forward, decoder_forward, pose_from_vec and pose_compose, so they
+pin every bit of the frame path.  The 64x64 files also reach the conv
+routes that a 16x16 frame's short maps never take.
 
-Any change to the numbers or the formatting of these files must be deliberate.
+``python tests/test_golden.py`` rewrites every golden file, the frame files
+at every size and dtype included.  Any change to the numbers or the
+formatting of these files must be deliberate.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":
+    # Run as a script, find the package where pytest's pythonpath puts it.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from endotrack import decoder, pipeline, se3
 from endotrack.cli import main
@@ -55,23 +63,23 @@ def test_bytes_match_golden(written, name):
     assert (written / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-FRAME_SIZE = 16
+FRAME_SIZES = (16, 64)
 FRAME_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
-def frame_lines(dtype: str, n: int = 16, seed: int = 5) -> str:
-    """One line per frame pair: the chained pose's R and t as Python float reprs."""
+def frame_lines(size: int, dtype: str, n: int = 16, seed: int = 5) -> str:
+    """One line per size x size frame pair: the chained pose's R and t as Python float reprs."""
     dt = FRAME_DTYPES[dtype]
-    cfg = pipeline.PipelineConfig(FRAME_SIZE, FRAME_SIZE)
+    cfg = pipeline.PipelineConfig(size, size)
     params = pipeline.init_pipeline(cfg).astype(dt)
     dec = decoder.decoder_init(cfg.fused_channels, 12, seed=1).astype(dt)
     rng = np.random.default_rng(seed)
-    prev = rng.standard_normal((3, FRAME_SIZE, FRAME_SIZE), dtype=dt)
+    prev = rng.standard_normal((3, size, size), dtype=dt)
     pose = se3.identity_pose()
     lines = []
     for i in range(n):
-        cur = rng.standard_normal((3, FRAME_SIZE, FRAME_SIZE), dtype=dt)
-        flow = rng.standard_normal((2, FRAME_SIZE, FRAME_SIZE), dtype=dt)
+        cur = rng.standard_normal((3, size, size), dtype=dt)
+        flow = rng.standard_normal((2, size, size), dtype=dt)
         vec = decoder.decoder_forward(pipeline.pipeline_forward(prev, cur, flow, params), dec)
         pose = se3.pose_compose(pose, se3.pose_from_vec(vec))
         lines.append(f"{i} R={pose.R.tolist()!r} t={pose.t.tolist()!r}\n")
@@ -80,14 +88,16 @@ def frame_lines(dtype: str, n: int = 16, seed: int = 5) -> str:
 
 
 @pytest.mark.parametrize("dtype", FRAME_DTYPES)
-def test_frame_path_matches_golden(dtype):
-    golden = (GOLDEN / f"frames-{FRAME_SIZE}-{dtype}.txt").read_bytes()
-    assert frame_lines(dtype).encode() == golden
+@pytest.mark.parametrize("size", FRAME_SIZES)
+def test_frame_path_matches_golden(size, dtype):
+    golden = (GOLDEN / f"frames-{size}-{dtype}.txt").read_bytes()
+    assert frame_lines(size, dtype).encode() == golden
 
 
 if __name__ == "__main__":
-    # Rewrites the golden files: python tests/test_golden.py
+    # Rewrites every golden file, the frame files at every size: python tests/test_golden.py
     GOLDEN.mkdir(exist_ok=True)
     write_all(GOLDEN)
-    for dtype in FRAME_DTYPES:
-        (GOLDEN / f"frames-{FRAME_SIZE}-{dtype}.txt").write_bytes(frame_lines(dtype).encode())
+    for size in FRAME_SIZES:
+        for dtype in FRAME_DTYPES:
+            (GOLDEN / f"frames-{size}-{dtype}.txt").write_bytes(frame_lines(size, dtype).encode())
