@@ -12,7 +12,7 @@ divide by the count, without its Python wrapper.  Both give ndarray's bits.
 ``conv2d`` gathers without a per-tap loop: one strided view of the padded
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
-index table), and one copy of it is the operand of a single matmul.  When
+index table), and one copy of it is the operand of one batched matmul.  When
 that copy would move many short rows (``_two_stage``: stride 1 along rows,
 a kernel at least 3 tall and 2 wide, short output rows), it builds the same
 operand in two copies of such views: first the kw column shifts, then the
@@ -200,7 +200,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
     # input, whose tap axes step one row/column and whose output axes step a
     # stride (numpy refuses it if it reaches outside xp), copied into a
     # C-contiguous buffer; then one (groups, C_out/g, K) @ (groups, K,
-    # H_out*W_out) matmul, a 2-D one for a single group.  The copy is what
+    # H_out*W_out) matmul for every group count.  The copy is what
     # keeps the bits: reshaping the view itself can hand matmul an operand
     # whose rows overlap.  One copy moves C_in*kh*kw*H_out rows of W_out.
     # Two copies build the same buffer from C_in*kw*H_p such rows and
@@ -216,11 +216,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b=None, stride=1, pad=0, groups: int = 
         taps = np.ndarray((c_in, kh, kw, h_out, w_out), dtype, xp, 0, (s0, s1, s2, s1 * sh, s2 * sw))
         cols = np.ascontiguousarray(taps)
     k = c_per_g * kh * kw
-    if groups == 1:
-        out = w.reshape(c_out, k) @ cols.reshape(k, -1)
-    else:
-        out = w.reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)
-    out = out.reshape(c_out, h_out, w_out)
+    out = (w.reshape(groups, c_out // groups, k) @ cols.reshape(groups, k, -1)).reshape(c_out, h_out, w_out)
     if b is not None:
         if type(b) is not np.ndarray:
             b = np.asarray(b)

@@ -57,9 +57,9 @@ def loop_conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0), groups=1):
 def gather_conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """The per-tap gather: each of the kh*kw strided taps copied into one
     (C_in, kh, kw, H_out, W_out) buffer, then a batched (groups, C_out/g, K)
-    @ (groups, K, H_out*W_out) matmul for every group count.  conv2d runs a
-    2-D matmul for one group and may build its buffer in two copies; its
-    bits must match this form's all the same."""
+    @ (groups, K, H_out*W_out) matmul for every group count, as conv2d
+    runs it.  conv2d may build its buffer in two copies; its bits must
+    match this form's all the same."""
     x, w = np.asarray(x), np.asarray(w)
     c_in, h, wd = x.shape
     c_out, c_per_g, kh, kw = w.shape

@@ -52,25 +52,25 @@ class TestTrajectoryType:
         assert tuple(traj.frames) == (6, 8, 10, 12)
         assert np.array_equal(traj[2].R, R[2]) and traj[2].unit == "mm"
 
-    def test_slices_skip_the_constructor_checks(self, rng, monkeypatch):
+    def test_each_slice_runs_the_constructor_checks_once(self, rng, monkeypatch):
         traj = trajectory_of([random_pose(rng) for _ in range(6)], k=3, start=9)
         checked = []
         post_init = tracker.Trajectory.__post_init__
         monkeypatch.setattr(tracker.Trajectory, "__post_init__",
-                            lambda self: checked.append(1) or post_init(self))
+                            lambda self: checked.append(self) or post_init(self))
         for sl in (slice(1, 4), slice(None, None, 2), slice(-2, None), slice(6, None), slice(None)):
+            checked.clear()
             part = traj[sl]
-            assert type(part) is tracker.Trajectory and not checked
+            assert type(part) is tracker.Trajectory and len(checked) == 1 and checked[0] is part
             assert (part.k, part.start, part.unit) == (traj.frames[sl].step, traj.frames[sl].start, "mm")
             assert type(part.k) is int and type(part.start) is int
             for a, whole in ((part.R, traj.R), (part.t, traj.t)):
                 assert a.dtype == np.float64 and a.flags.c_contiguous
                 assert np.array_equal(a, whole[sl])
+        checked.clear()
         with pytest.raises(ShapeMismatch, match=re.escape("stride k must be an integer >= 1, got -3")):
             traj[::-1]
-        assert not checked
-        et.Trajectory(traj.R, traj.t, k=3)
-        assert checked == [1]
+        assert len(checked) == 1
 
     def test_constructor_keeps_every_check(self):
         R, t = np.stack([np.eye(3)] * 2), np.zeros((2, 3))
