@@ -14,7 +14,10 @@ relative change of the medians, the median of the per-pair ratios (change
 over parent), which cancels load that both runs of a pair share, and the
 parent's quartile spread with whether the medians differ by more than it.
 A gain may be claimed when the change wins at least nine pairs of ten and
-that gap exceeds the spread.  Nothing
+that gap exceeds the spread.  Against the metric's ``bound``, a fraction of
+the parent's median, it also reports whether the change's median is worse
+by more than the bound (``worse_beyond_bound``) and whether the parent's
+quartile spread alone is wider than the bound (``unresolved``).  Nothing
 under ``perfbench/`` is imported or written to, apart from the results
 perfbench writes itself.
 Needs a Python whose ``tarfile`` has extraction filters (3.10.12, 3.11.4,
@@ -53,9 +56,9 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload: complete pairs, correctness, failures and each metric's comparison.
 
-    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries (``name``, ``better``).
-    A pair counts for the change when its value is strictly better; ties count
-    for neither side.
+    ``metrics`` are BENCHMARK.json's ``end_to_end`` entries (``name``, ``better``,
+    ``bound``).  A pair counts for the change when its value is strictly better;
+    ties count for neither side.  A change exactly at the bound is not beyond it.
     """
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -82,7 +85,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             gap = abs(stats["change"]["median"] - stats["parent"]["median"])
             entry[m["name"]] = {**stats, "change_better_pairs": wins, "median_change_rel": round(rel, 3),
                                 "median_pair_ratio": round(ratio, 4), "parent_iqr": round(iqr, 4),
-                                "gap_exceeds_parent_iqr": gap > iqr}
+                                "gap_exceeds_parent_iqr": gap > iqr,
+                                "worse_beyond_bound": -sign * rel > m["bound"],
+                                "unresolved": iqr > m["bound"] * base}
         summary[workload] = entry
     return summary
 

@@ -4,11 +4,13 @@ and the pose decoder, and the standardization and initializer they share.
 Tensors are plain numpy arrays, row-major, float64 unless the caller feeds
 float32 (the benchmark's reduced-precision mode).  Feature maps use the
 (C, H, W) layout; the attention block pools them through transposed views.
-``pool_last_axis`` takes the max over short contiguous rows from a copy
-that puts the row axis first (numpy's short-row max costs about three times
-as much on the 64x64 frame's float32 attention maps), and every mean here
-is the private ``_mean``: ndarray.mean's own ``np.add.reduce`` and in-place
-divide by the count, without its Python wrapper.  Both give ndarray's bits.
+``pool_last_axis`` takes the max of contiguous float rows of at most
+``_COPY_ROW_BYTES`` (2+ axes) from a copy that puts the row axis first, a
+third of the cost of numpy's short-row max on 64x64 float32 attention maps,
+unless a zero maximum lies beside a negative-signed value: then numpy's row
+max of the whole input.  Every mean is the private ``_mean``: ndarray.mean's
+own ``np.add.reduce`` and in-place divide by the count, without its Python
+wrapper.  Both give ndarray's bits.
 ``conv2d`` gathers without a per-tap loop: one strided view of the padded
 input holds every tap of every output position (an indirection buffer, as
 in Dukhan's Indirect Convolution Algorithm, with strides in place of the
@@ -34,9 +36,6 @@ from .errors import BadPermutation, ShapeMismatch, integer
 EPS = 1e-6
 
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
-# Per float dtype, the signed integer dtype of its width and that dtype's
-# least value, the bit pattern of -0.0.
-_BITS = {t: (np.dtype(f"i{t.itemsize}"), np.iinfo(f"i{t.itemsize}").min) for t in _FLOATS}
 # Longest rows whose max pool_last_axis takes over a leading-axis copy.  On a
 # 2-core Xeon (2 MiB L2 per core) that took 0.1-0.7x the time of numpy's row
 # max on 8-channel maps of up to 2 MiB with rows of at most 256 bytes, but
@@ -105,11 +104,11 @@ def _mean(x: np.ndarray, axis) -> np.ndarray:
 def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
     """Reduce the final axis to extent 1 by max or mean.
 
-    The float max over short contiguous rows of a multi-axis array reduces a
-    copy with the row axis first, which skips numpy's per-row cost.  Max is
-    exact in any order but for the sign of a zero maximum over both +0.0 and
-    -0.0, so when the input holds a -0.0 (the least integer of its bit
-    patterns), the rows whose maximum is zero are reduced again as rows.
+    The max of contiguous float rows of at most ``_COPY_ROW_BYTES``, in an
+    array of 2+ axes, reduces a copy with the row axis first, skipping
+    numpy's per-row cost.  Max is exact in any order but for the sign of a
+    zero maximum over +0.0 and -0.0, so when a maximum is zero and some
+    value's sign bit is set, numpy's row max of the whole input is returned.
     """
     x = np.asarray(x)
     if kind == "max":
@@ -118,11 +117,8 @@ def pool_last_axis(x: np.ndarray, kind: str) -> np.ndarray:
             return x.max(axis=-1, keepdims=True)
         c = np.ascontiguousarray(x.transpose(-1, *range(x.ndim - 1)))
         m = c.max(axis=0)
-        if np.count_nonzero(m) < m.size:
-            bits, neg_zero = _BITS[c.dtype]
-            if c.view(bits).min() == neg_zero:
-                zero = m == 0
-                m[zero] = x[zero].max(axis=-1)
+        if np.count_nonzero(m) < m.size and np.signbit(c).any():
+            return x.max(axis=-1, keepdims=True)
         return m[..., None]
     if kind == "avg":
         return _mean(x, -1)

@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
 ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
-METRICS = [{"name": "step_ms_best", "better": "lower"}, {"name": "fps", "better": "higher"}]
+METRICS = [{"name": "step_ms_best", "better": "lower", "bound": 0.25},
+           {"name": "fps", "better": "higher", "bound": 0.25}]
 
 
 def row(workload, pair, side, step, fps, correct=True, failed=0):
@@ -80,6 +81,52 @@ def test_parent_spread_and_gap():
     v = ab_bench.summarize(runs(), METRICS)["v"]
     assert v["step_ms_best"]["parent_iqr"] == 0.0 and v["step_ms_best"]["gap_exceeds_parent_iqr"] is True
     assert v["fps"]["parent_iqr"] == 0.0 and v["fps"]["gap_exceeds_parent_iqr"] is False
+
+
+ONES = [1.0] * 5
+
+
+def pairs_of(step_parent, step_change, fps_parent=ONES, fps_change=ONES):
+    rows = []
+    for pair, (sp, sc, fp, fc) in enumerate(zip(step_parent, step_change, fps_parent, fps_change), start=1):
+        rows += [row("u", pair, "parent", sp, fp), row("u", pair, "change", sc, fc)]
+    return ab_bench.summarize(rows, METRICS)["u"]
+
+
+def test_worse_beyond_bound():
+    # The parent's median step is 11; the bound 0.25 puts the limit at 13.75.
+    # The change's median 14 is worse by 0.273; 13.75 is worse by exactly 0.25.
+    u = pairs_of(PARENT_STEP, [14.0, 15.0, 13.0, 16.0, 12.0])
+    assert u["step_ms_best"]["worse_beyond_bound"] is True
+    u = pairs_of(PARENT_STEP, [13.75, 15.0, 13.0, 16.0, 12.0])
+    assert u["step_ms_best"]["change"]["median"] == 13.75
+    assert u["step_ms_best"]["worse_beyond_bound"] is False
+    # Better by any amount is never worse; the hand-made runs' change is 27% faster.
+    assert ab_bench.summarize(runs(), METRICS)["w"]["step_ms_best"]["worse_beyond_bound"] is False
+    # Higher is better: a median fps falling from 10 to 7.4 is worse by 0.26,
+    # to 7.5 by exactly the bound, and rising to 20 is not worse.
+    fps_parent = [10.0, 9.0, 11.0, 10.0, 12.0]
+    for fps_change, worse in (([7.4, 7.0, 8.0, 7.4, 9.0], True), ([7.5, 7.0, 8.0, 7.5, 9.0], False),
+                              ([20.0, 20.0, 20.0, 20.0, 20.0], False)):
+        u = pairs_of(PARENT_STEP, PARENT_STEP, fps_parent, fps_change)
+        assert u["fps"]["worse_beyond_bound"] is worse
+        assert u["step_ms_best"]["worse_beyond_bound"] is False
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # Parent quartiles 10 and 12 around a median of 11: a spread of 2 is
+    # within 0.25 * 11 = 2.75, whatever the change reads.
+    w = ab_bench.summarize(runs(), METRICS)["w"]
+    assert w["step_ms_best"]["unresolved"] is False
+    # Quartiles 8 and 12 around 10: a spread of 4 exceeds 2.5.
+    u = pairs_of([8.0, 10.0, 12.0, 6.0, 14.0], PARENT_STEP)
+    assert u["step_ms_best"]["parent"] == {"q25": 8.0, "median": 10.0, "q75": 12.0}
+    assert u["step_ms_best"]["unresolved"] is True
+    # A spread equal to the bound (quartiles 9 and 11.5 around 10) is not wider.
+    u = pairs_of([9.0, 10.0, 11.5, 8.0, 12.0], PARENT_STEP)
+    assert u["step_ms_best"]["parent_iqr"] == 2.5 and u["step_ms_best"]["unresolved"] is False
+    # One pair has no spread.
+    assert ab_bench.summarize(runs(), METRICS)["v"]["step_ms_best"]["unresolved"] is False
 
 
 def test_pairs_correctness_and_failures():

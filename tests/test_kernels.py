@@ -211,9 +211,11 @@ class TestPool:
         # Rows of 9, 17 and 33 end just past a SIMD block, where numpy's row
         # max and a max over a leading-axis copy give a zero maximum different
         # signs.  Rows of 70 take numpy's row max; the 8x600x16 map's rows of
-        # 16 take the copy route at 300 and 600 KiB.
+        # 16 take the copy route at 300 and 600 KiB.  The last map has zero
+        # maxima beside negatives and no -0.0.
         for f0 in (signed_zero_map(rng, shape, dtype), rng.standard_normal(shape).astype(dtype),
-                   np.maximum(rng.standard_normal(shape).astype(dtype), 0)):
+                   np.maximum(rng.standard_normal(shape).astype(dtype), 0),
+                   np.minimum(rng.standard_normal(shape).astype(dtype), 0)):
             for order in ((1, 2, 0), (0, 1, 2), (0, 2, 1)):
                 view = f0.transpose(order)
                 assert_same_bytes(kernels.pool_last_axis(view, "max"), view.max(axis=-1, keepdims=True))
